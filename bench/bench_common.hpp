@@ -51,7 +51,7 @@ struct BenchOptions {
                "load at ui.perfetto.dev\n"
             << "  --trace-events L  comma list of categories to record: "
                "locks,bus,coherence,\n"
-               "                    barriers,idle,all (default all)\n";
+               "                    barriers,all (default all)\n";
   std::exit(2);
 }
 

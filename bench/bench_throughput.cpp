@@ -1,7 +1,7 @@
 // Tracked simulator-throughput baseline: simulated cycles per wall-clock
 // second for the Grav / Pverify / Qsort / Pdsa profiles under sequential and
-// weak consistency, with the discrete-event engine against the legacy
-// per-cycle tick engine.
+// weak consistency, with the discrete-event engine against its per-cycle
+// tick oracle.
 //
 // Emits BENCH_simulator.json (path via argv[1], default ./BENCH_simulator.json)
 // so the perf trajectory is tracked in-repo.  Wall time covers Simulator::run()
@@ -9,24 +9,17 @@
 // each cell takes the best of SYNCPAT_BENCH_REPS repetitions (default 3) to
 // shave scheduler noise.  The bench also cross-checks that both engines finish
 // on the same cycle — a cheap tripwire for the byte-identity contract that
-// tests/test_fast_forward.cpp verifies in full.
+// tests/test_engine.cpp verifies in full.
 //
-// The tick rows run with the quiescence run-ahead on (its best configuration),
-// so speedup_des_vs_tick understates nothing: it is DES against the fastest
-// legacy mode.
-//
-// Honest numbers (2026-08, SYNCPAT_SCALE=8): the four paper profiles are
-// event-dense — 2-4 work cycles per reference and a saturated bus put a due
-// event on 82-99% of cycles, so the DES engine steps nearly every cycle and
-// lands at parity with the tuned tick engine (0.9-1.05x) rather than ahead
-// of it; simulated throughput stays at the PR6 baseline (~2-4.5M cyc/s).
+// The four paper profiles are event-dense — 2-4 work cycles per reference
+// and a saturated bus put a due event on 82-99% of cycles, so the DES engine
+// steps nearly every cycle and lands at parity with plain per-cycle ticking.
 // The engine's structural win needs sparse event streams: on the
 // Grav-coarse variants (work_cycles_per_ref 100/400) it advances whole
-// inter-event spans in O(1) bus/memory bulk updates and reaches 35-150M
-// cyc/s, and the per-event (rather than per-processor-cycle) cost model is
-// what makes the planned 64-1024-processor scaling studies tractable.  The
-// des_stepped_cycles / des_spans columns record the event density behind
-// each number.
+// inter-event spans in O(1) bus/memory bulk updates, and the per-event
+// (rather than per-processor-cycle) cost model is what makes the
+// 64-1024-processor scaling studies tractable.  The des_stepped_cycles /
+// des_spans columns record the event density behind each number.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -54,8 +47,7 @@ struct Cell {
   std::uint64_t run_cycles = 0;
   double best_wall_ms = 0.0;
   double cycles_per_sec = 0.0;
-  core::FastForwardStats ff;    // populated on tick rows
-  core::DesStats des;           // populated on des rows
+  core::DesStats des;  // populated on des rows
   // Engine phase breakdown from one extra self-profiled rep (kept out of the
   // timed reps so timestamp reads never pollute best_wall_ms).
   obs::SelfProfiler::Snapshot prof;
@@ -87,9 +79,6 @@ Cell run_cell(const workload::BenchmarkProfile& scaled,
   cfg.lock_scheme = sync::SchemeKind::kTtas;
   cfg.consistency = model;
   cfg.engine = engine;
-  // Tick rows get the quiescence run-ahead: DES is measured against the
-  // legacy engine's best configuration, not a strawman.
-  cfg.fast_forward = engine == core::EngineKind::kTick;
 
   Cell cell;
   cell.program = scaled.name;
@@ -104,7 +93,6 @@ Cell run_cell(const workload::BenchmarkProfile& scaled,
     const double wall = now_ms() - t0;
     if (wall < cell.best_wall_ms) cell.best_wall_ms = wall;
     cell.run_cycles = res.run_time;
-    cell.ff = sim.fast_forward_stats();
     cell.des = sim.des_stats();
   }
   cell.cycles_per_sec =
@@ -136,7 +124,6 @@ void emit_json(std::ostream& out, std::uint64_t scale, std::uint32_t reps,
       << "  \"scale\": " << scale << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"wall_time\": \"best-of-reps, Simulator::run() only\",\n"
-      << "  \"tick_rows\": \"legacy engine with quiescence run-ahead on\",\n"
       << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
@@ -147,19 +134,13 @@ void emit_json(std::ostream& out, std::uint64_t scale, std::uint32_t reps,
         "\"engine\": \"%s\", \"run_cycles\": %llu, "
         "\"best_wall_ms\": %.1f, \"cycles_per_sec\": %.4g, "
         "\"des_stepped_cycles\": %llu, \"des_spans\": %llu, "
-        "\"des_span_cycles\": %llu, "
-        "\"ff_jumps\": %llu, \"ff_run_ahead_cycles\": %llu, "
-        "\"ff_skipped_cycles\": %llu, \"ff_probe_pauses\": %llu, ",
+        "\"des_span_cycles\": %llu, ",
         c.program.c_str(), c.consistency, core::engine_name(c.engine),
         static_cast<unsigned long long>(c.run_cycles), c.best_wall_ms,
         c.cycles_per_sec,
         static_cast<unsigned long long>(c.des.stepped_cycles),
         static_cast<unsigned long long>(c.des.spans),
-        static_cast<unsigned long long>(c.des.span_cycles),
-        static_cast<unsigned long long>(c.ff.jumps),
-        static_cast<unsigned long long>(c.ff.run_ahead_cycles),
-        static_cast<unsigned long long>(c.ff.skipped_cycles),
-        static_cast<unsigned long long>(c.ff.probe_pauses));
+        static_cast<unsigned long long>(c.des.span_cycles));
     out << buf;
     // Phase breakdown from the extra self-profiled rep (its own wall time,
     // not best_wall_ms; the profiled rep is never the timed one).

@@ -24,16 +24,13 @@
 //     --dsm-remote-cycles N dsm only: extra cycles a remote access pays on
 //                           top of the base memory time (default 20)
 //     --jobs N              worker threads for --sweep (0 = all cores)
-//     --check-invariants    run with the runtime invariant checker enabled;
-//                           exits non-zero on any violation (forces per-cycle
-//                           tick stepping: the checker observes every cycle)
+//     --check-invariants    run with the runtime invariant checker enabled on
+//                           the selected engine; exits non-zero on any
+//                           violation
 //     --engine NAME         des|tick: the discrete-event core (default) or
-//                           the legacy per-cycle tick loop; results are
-//                           byte-identical (CLI spelling of SYNCPAT_ENGINE)
-//     --no-fast-forward     deprecated: selects the tick engine with its
-//                           quiescence run-ahead disabled (the historical
-//                           per-cycle reference mode); use --engine=tick.
-//                           Conflicts with an explicit --engine=des (exit 2)
+//                           the per-cycle tick loop that is its oracle;
+//                           results are byte-identical (CLI spelling of
+//                           SYNCPAT_ENGINE)
 //     --sweep               run every scheme x both memory models on the
 //                           parallel engine and print a comparison table
 //                           (profiles only)
@@ -43,7 +40,7 @@
 //                           ui.perfetto.dev); with --sweep, one file per
 //                           cell with the cell label spliced into FILE
 //     --trace-events LIST   comma list of event categories to record:
-//                           locks,bus,coherence,barriers,idle,all
+//                           locks,bus,coherence,barriers,all
 //                           (default all; implies tracing on)
 //     --metrics             enable the deterministic metrics layer and print
 //                           the machine profile (stall-cause breakdown,
@@ -98,7 +95,7 @@ using namespace syncpat;
                "  [--model bus|dsm] [--dsm-nodes N] [--dsm-remote-cycles N]\n"
                "  [--engine des|tick] [--sweep] [--per-lock]\n"
                "  [--trace-out FILE] [--trace-events locks,bus,coherence,"
-               "barriers,idle,all]\n"
+               "barriers,all]\n"
                "  [--metrics] [--metrics-out FILE.json|.csv] "
                "[--metrics-window N]\n"
                "  [--csv] [--validate]\n";
@@ -121,7 +118,6 @@ struct Options {
   std::uint32_t dsm_remote_cycles = 0;  // 0 = DsmConfig default
   bool check_invariants = false;
   core::EngineKind engine = core::EngineKind::kDes;
-  bool fast_forward = true;
   bool sweep = false;
   bool per_lock = false;
   bool csv = false;
@@ -155,9 +151,6 @@ std::uint32_t numeric32(const std::string& flag, const std::string& text) {
 
 Options parse(int argc, char** argv) {
   Options opt;
-  bool engine_given = false;
-  bool no_fast_forward_given = false;
-  core::EngineKind explicit_engine = core::EngineKind::kDes;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -227,16 +220,6 @@ Options parse(int argc, char** argv) {
                   << name << "\"\n";
         std::exit(2);
       }
-      engine_given = true;
-      explicit_engine = opt.engine;
-    }
-    else if (arg == "--no-fast-forward") {
-      // Deprecated alias preserved for scripts: historical per-cycle mode.
-      std::cerr << "note: --no-fast-forward is deprecated; it now selects the "
-                   "legacy tick engine (use --engine des|tick)\n";
-      opt.engine = core::EngineKind::kTick;
-      opt.fast_forward = false;
-      no_fast_forward_given = true;
     }
     else if (arg == "--trace-out") opt.trace_out = value();
     else if (arg == "--trace-events") {
@@ -257,16 +240,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--csv") opt.csv = true;
     else if (arg == "--validate") opt.validate = true;
     else usage(argv[0]);
-  }
-  // --no-fast-forward *is* the tick engine; combining it with an explicit
-  // --engine=des asks for two different engines at once.  Historically the
-  // last flag silently won; now the contradiction is an error regardless of
-  // flag order.  (--engine tick --no-fast-forward agree and stay legal.)
-  if (no_fast_forward_given && engine_given &&
-      explicit_engine == core::EngineKind::kDes) {
-    std::cerr << "error: --no-fast-forward selects the tick engine and "
-                 "conflicts with --engine=des; drop one of the flags\n";
-    std::exit(2);
   }
   return opt;
 }
@@ -423,7 +396,6 @@ int main(int argc, char** argv) {
   }
   config.invariants.enabled = opt.check_invariants;
   config.engine = opt.engine;
-  config.fast_forward = opt.fast_forward;
   // --trace-events without --trace-out still records (the in-memory lock
   // timeline is useful on its own); --trace-out implies recording.
   config.trace.enabled = !opt.trace_out.empty() || opt.trace_events_given;
@@ -436,12 +408,9 @@ int main(int argc, char** argv) {
       // Validate the extension up front: fail before the run, not after.
       (void)obs::metrics_format_from_path(opt.metrics_out);
     }
-    // Resolve SYNCPAT_ENGINE / SYNCPAT_FAST_FORWARD up front too: a malformed
-    // value must exit 2 here, not escape from a grid worker thread mid-run.
-    const core::EngineSelection sel =
-        core::resolve_engine_from_env(config.engine, config.fast_forward);
-    config.engine = sel.engine;
-    config.fast_forward = sel.fast_forward;
+    // Resolve SYNCPAT_ENGINE up front too: a malformed value must exit 2
+    // here, not escape from a grid worker thread mid-run.
+    config.engine = core::resolve_engine_from_env(config.engine);
     // Same policy for SYNCPAT_BUS_DISCIPLINE / SYNCPAT_MODEL: junk exits 2
     // here with the variable named, never a silent default.
     config.bus_discipline =

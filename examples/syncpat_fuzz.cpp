@@ -1,9 +1,9 @@
 // syncpat_fuzz — deterministic differential fuzzing harness.
 //
 // Generates seeded random machine/workload/lock-scheme combinations and runs
-// each under a battery of oracles (invariant checker, fast-forward and
-// --jobs differentials, trace round-trip, conservation identities).  Failing
-// cases are automatically shrunk to a minimal repro file that
+// each under a battery of oracles (invariant checker, engine and --jobs
+// differentials, trace round-trip, conservation and metrics identities).
+// Failing cases are automatically shrunk to a minimal repro file that
 // `syncpat_fuzz --repro <file>` replays exactly.
 //
 //   syncpat_fuzz [--seed N] [--cases N] [--repro-dir DIR] [--no-shrink]
@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The fast-forward differential compares fast-forward on vs off; an
+  // The engine differential compares DES against per-cycle tick; an
   // inherited env override would silently collapse the two arms.
-  unsetenv("SYNCPAT_FAST_FORWARD");
+  unsetenv("SYNCPAT_ENGINE");
 
   if (inject_failure) {
     opt.injected_oracle = [](const fuzz::FuzzCase& c) {

@@ -43,10 +43,6 @@ class Bus {
   }
 
   [[nodiscard]] bool free() const { return current_ == nullptr; }
-  /// Quiescence predicate for the fast-forward engine: nothing occupies the
-  /// bus, so a bulk cycle advance observes exactly what per-cycle ticking
-  /// would (idle cycles never change arbitration state).
-  [[nodiscard]] bool idle() const { return current_ == nullptr; }
   [[nodiscard]] Transaction* current() const { return current_; }
 
   /// Occupies the bus with `txn` for `cycles` bus cycles starting this
@@ -74,11 +70,11 @@ class Bus {
     return done;
   }
 
-  /// Bulk-advances `cycles` idle cycles in one step (fast-forward over a
-  /// quiescent machine).  Equivalent to `cycles` calls to tick() with no
-  /// occupant: only the utilization denominator moves.  Precondition: idle().
+  /// Bulk-advances `cycles` idle cycles in one step (DES span over a free
+  /// bus).  Equivalent to `cycles` calls to tick() with no occupant: only
+  /// the utilization denominator moves.  Precondition: free().
   void advance_idle(std::uint64_t cycles) {
-    SYNCPAT_ASSERT(idle());
+    SYNCPAT_ASSERT(free());
     total_cycles_ += cycles;
   }
 

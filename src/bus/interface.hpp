@@ -39,9 +39,6 @@ class BusInterface {
   [[nodiscard]] ConsistencyModel model() const { return model_; }
   [[nodiscard]] bool full() const { return queue_.full(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
-  /// Quiescence predicate for the fast-forward engine: an empty buffer can
-  /// produce no grant candidate, so idle cycles leave it untouched.
-  [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
 
   /// Queues a transaction, applying the consistency-model placement rule.

@@ -66,7 +66,8 @@ void InvariantChecker::check_line_coherence(const Simulator& sim,
   }
 }
 
-void InvariantChecker::full_mesi_sweep(const Simulator& sim) {
+void InvariantChecker::full_mesi_sweep(const Simulator& sim,
+                                       std::uint64_t cycle) {
   // One pass over every cache, grouped by line address: resident states are
   // sparse, so the per-line cross-check above would rescan caches for lines
   // that only one cache holds.
@@ -93,12 +94,12 @@ void InvariantChecker::full_mesi_sweep(const Simulator& sim) {
     if (v.owners > 1) {
       record("MESI single-writer violated: line 0x" + hex(line_addr) +
              " owned (E/M) by " + std::to_string(v.owners) +
-             " caches at cycle " + std::to_string(sim.now()));
+             " caches at cycle " + std::to_string(cycle));
     } else if (v.owners == 1 && v.sharers > 0) {
       record("MESI stale sharer: line 0x" + hex(line_addr) +
              " owned (E/M) by proc " + std::to_string(v.owner_proc) +
              " but Shared in proc " + std::to_string(v.sharer_proc) +
-             " at cycle " + std::to_string(sim.now()));
+             " at cycle " + std::to_string(cycle));
     }
   }
 }
@@ -126,12 +127,21 @@ void InvariantChecker::on_cycle(const Simulator& sim) {
   }
   if (config_.mesi_sweep_period > 0 &&
       sim.now() % config_.mesi_sweep_period == 0) {
-    full_mesi_sweep(sim);
+    full_mesi_sweep(sim, sim.now());
   }
 }
 
+void InvariantChecker::on_span(const Simulator& sim, std::uint64_t last_cycle,
+                               std::uint64_t through) {
+  const std::uint64_t period = config_.mesi_sweep_period;
+  if (period == 0 || through / period == last_cycle / period) return;
+  // One sweep stands for every period boundary in the span: the state is the
+  // same at all of them.  Label it with the last one.
+  full_mesi_sweep(sim, through / period * period);
+}
+
 void InvariantChecker::on_run_end(const Simulator& sim) {
-  full_mesi_sweep(sim);
+  full_mesi_sweep(sim, sim.now());
   for (std::uint32_t p = 0; p < acquiring_.size(); ++p) {
     if (releasing_[p] != kNoLine) {
       record("simulation ended with proc " + std::to_string(p) +

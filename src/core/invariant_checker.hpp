@@ -9,7 +9,9 @@
 //    Exclusive or Modified, and an owned line has no Shared copies elsewhere.
 //    Lines with a transaction in flight are checked every cycle; a periodic
 //    full sweep (mesi_sweep_period) catches stale sharers on quiet lines, and
-//    a final sweep runs at end of simulation.
+//    a final sweep runs at end of simulation.  On the DES engine "every
+//    cycle" means every event cycle: the state checked here changes only
+//    there, and a sweep period ending inside a bulk span is swept at the span.
 //  * At most one transaction per line in flight: re-derived from transaction
 //    phases, independently of the simulator's own line_inflight_ bookkeeping.
 //  * Lock mutual exclusion: a processor only acquires a lock no other
@@ -41,8 +43,15 @@ class InvariantChecker {
                    std::uint32_t num_procs);
 
   // --- simulator hooks -----------------------------------------------------
-  /// End of Simulator::step(): per-cycle checks plus the periodic sweep.
+  /// End of Simulator::step() and of every DES event cycle: per-cycle checks
+  /// plus the periodic sweep.
   void on_cycle(const Simulator& sim);
+  /// A DES bulk span advanced the clock from `last_cycle` (already checked)
+  /// through `through` without changing any state the checker reads.  The
+  /// per-cycle checks would repeat last_cycle's verdicts; only a periodic
+  /// sweep that falls inside the span is owed, and it sees the current state.
+  void on_span(const Simulator& sim, std::uint64_t last_cycle,
+               std::uint64_t through);
   /// End of Simulator::run(): final full MESI sweep.
   void on_run_end(const Simulator& sim);
 
@@ -68,7 +77,7 @@ class InvariantChecker {
   /// Cross-cache MESI check of one line; `cycle` labels violations.
   void check_line_coherence(const Simulator& sim, std::uint32_t line_addr,
                             std::uint64_t cycle);
-  void full_mesi_sweep(const Simulator& sim);
+  void full_mesi_sweep(const Simulator& sim, std::uint64_t cycle);
   void check_one_txn_per_line(const Simulator& sim);
 
   InvariantConfig config_;

@@ -1,14 +1,10 @@
 #include "core/machine_config.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-
-#include "util/parse.hpp"
 
 namespace syncpat::core {
 
@@ -81,43 +77,12 @@ MemModelKind resolve_mem_model_from_env(MemModelKind config_value) {
   return resolve_mem_model(config_value, std::getenv("SYNCPAT_MODEL"));
 }
 
-EngineSelection resolve_engine(EngineKind config_engine,
-                               bool config_fast_forward,
-                               const char* engine_env, const char* ff_env) {
-  EngineSelection sel;
-  sel.engine = config_engine;
-  sel.fast_forward = config_fast_forward;
-  // Parse both strictly even when SYNCPAT_ENGINE wins: a malformed value in
-  // either variable is a configuration error, never silently ignored.
-  if (ff_env != nullptr) {
-    const bool ff = util::parse_bool01(ff_env, "SYNCPAT_FAST_FORWARD");
-    sel.fast_forward = ff;
-    if (engine_env == nullptr) {
-      // Deprecated alias: both values meant the per-cycle tick engine, with
-      // and without its quiescence run-ahead.
-      sel.engine = EngineKind::kTick;
-      sel.from_deprecated_ff = true;
-    }
-  }
-  if (engine_env != nullptr) sel.engine = parse_engine(engine_env);
-  return sel;
+EngineKind resolve_engine(EngineKind config_engine, const char* engine_env) {
+  return engine_env == nullptr ? config_engine : parse_engine(engine_env);
 }
 
-EngineSelection resolve_engine_from_env(EngineKind config_engine,
-                                        bool config_fast_forward) {
-  const EngineSelection sel =
-      resolve_engine(config_engine, config_fast_forward,
-                     std::getenv("SYNCPAT_ENGINE"),
-                     std::getenv("SYNCPAT_FAST_FORWARD"));
-  if (sel.from_deprecated_ff) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "note: SYNCPAT_FAST_FORWARD is deprecated; it now selects "
-                   "the legacy tick engine (use SYNCPAT_ENGINE=des|tick)\n");
-    }
-  }
-  return sel;
+EngineKind resolve_engine_from_env(EngineKind config_engine) {
+  return resolve_engine(config_engine, std::getenv("SYNCPAT_ENGINE"));
 }
 
 std::string MachineConfig::describe() const {
@@ -150,7 +115,7 @@ std::string MachineConfig::describe() const {
       << "  lock scheme         : " << sync::scheme_kind_name(lock_scheme) << "\n"
       << "  execution engine    : " << engine_name(engine)
       << (engine == EngineKind::kDes ? " (discrete-event core)"
-                                     : " (legacy per-cycle loop)")
+                                     : " (per-cycle reference loop)")
       << "\n";
   return out.str();
 }

@@ -25,41 +25,19 @@ namespace syncpat::core {
 ///     next-action times; cycles where nothing can happen are bulk-advanced.
 ///     Byte-identical to per-cycle ticking (the 28-config differential suite
 ///     and fuzz oracle #7 enforce it).
-///   * kTick: the legacy per-cycle loop, kept for one release as the
-///     differential reference (with its optional quiescence run-ahead, see
-///     `fast_forward` below).
+///   * kTick: `while (!all_done()) step();` — the trivially simple per-cycle
+///     loop, kept as the differential oracle for the DES core.
 enum class EngineKind : std::uint8_t { kDes, kTick };
 
 [[nodiscard]] const char* engine_name(EngineKind kind);
 
-/// Outcome of resolving the engine from config + environment.
-struct EngineSelection {
-  EngineKind engine = EngineKind::kDes;
-  bool fast_forward = true;  // tick engine only: quiescence run-ahead on/off
-  /// The deprecated SYNCPAT_FAST_FORWARD alias decided the engine.
-  bool from_deprecated_ff = false;
-};
-
-/// Resolves the execution engine from the config values and the environment
-/// strings (pass nullptr for unset).  Strict parsing throughout:
-///   * `engine_env` (SYNCPAT_ENGINE) accepts exactly "des" or "tick";
-///   * `ff_env` (SYNCPAT_FAST_FORWARD, deprecated) accepts exactly "0"/"1"
-///     via util::parse_bool01 and maps onto the tick engine ("0" = per-cycle,
-///     "1" = with quiescence run-ahead), preserving its historical meaning;
-///   * anything else throws std::invalid_argument.
-/// SYNCPAT_ENGINE wins when both are set (ff_env then only toggles the tick
-/// engine's run-ahead).  The invariant checker overrides the result inside
-/// the simulator (it must observe every cycle, so it forces per-cycle tick).
-[[nodiscard]] EngineSelection resolve_engine(EngineKind config_engine,
-                                             bool config_fast_forward,
-                                             const char* engine_env,
-                                             const char* ff_env);
-
-/// resolve_engine over the live SYNCPAT_ENGINE / SYNCPAT_FAST_FORWARD
-/// environment, emitting a once-per-process deprecation note on stderr when
-/// the SYNCPAT_FAST_FORWARD alias decides the engine.
-[[nodiscard]] EngineSelection resolve_engine_from_env(EngineKind config_engine,
-                                                      bool config_fast_forward);
+/// Resolves the execution engine from the config value and the
+/// SYNCPAT_ENGINE environment string (nullptr = unset).  Strict: the
+/// variable accepts exactly "des" or "tick"; anything else throws
+/// std::invalid_argument naming the offending text.
+[[nodiscard]] EngineKind resolve_engine(EngineKind config_engine,
+                                        const char* engine_env);
+[[nodiscard]] EngineKind resolve_engine_from_env(EngineKind config_engine);
 
 /// Memory system cost model.
 ///   * kBus (default): the paper's machine — uniform memory behind the
@@ -107,7 +85,7 @@ struct InvariantConfig {
   bool enabled = false;
   /// Cycles between full cross-cache MESI sweeps.  Lines with a transaction
   /// in flight are checked every cycle regardless; the sweep catches stale
-  /// sharers on quiescent lines.
+  /// sharers on idle lines.
   std::uint32_t mesi_sweep_period = 64;
   /// How many violation messages to keep verbatim (all are counted).
   std::uint32_t max_recorded = 16;
@@ -146,18 +124,8 @@ struct MachineConfig {
   obs::MetricsConfig metrics;
 
   /// Execution engine (see EngineKind).  Overridable by SYNCPAT_ENGINE
-  /// ("des"/"tick", strict) and, deprecated, by SYNCPAT_FAST_FORWARD
-  /// ("0"/"1", both selecting the tick engine).  The invariant checker
-  /// forces per-cycle tick regardless (it validates every cycle).
+  /// ("des"/"tick", strict).  The invariant checker runs on either engine.
   EngineKind engine = EngineKind::kDes;
-
-  /// Tick engine only: quiescence-aware run-ahead (the pre-DES fast path).
-  /// When no transaction exists anywhere in the machine, Simulator::run()
-  /// jumps the cycle counter to the next statically-known event and
-  /// bulk-accounts the skipped cycles, producing byte-identical results to
-  /// per-cycle stepping.  Ignored by the DES engine, which makes event jumps
-  /// its normal execution mode.
-  bool fast_forward = true;
 
   /// Hard simulation bound; exceeded means a deadlock or runaway workload.
   std::uint64_t max_cycles = 4'000'000'000ULL;

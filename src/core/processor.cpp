@@ -172,61 +172,6 @@ void Processor::tick() {
   }
 }
 
-std::uint64_t Processor::cycles_until_next_event() const {
-  switch (state_) {
-    case ProcState::kRunning:
-      // The tick that brings gap_left_ to 0 runs issue_loop; every earlier
-      // tick only counts a work cycle.  gap 0 means a resume/retry issues on
-      // the very next tick.
-      return gap_left_ > 0 ? gap_left_ : 1;
-    case ProcState::kSpin:
-    case ProcState::kWaitLock:
-      // Woken only by an invalidation, timer, or hand-off — all external.
-      return kNever;
-    case ProcState::kDone:
-      // A finished trace only drains trailing buffered writes, and those are
-      // transactions, which a quiescent machine has none of.
-      return pending_.empty() ? kNever : 1;
-    case ProcState::kWaitMem:
-    case ProcState::kStallStructural:
-    case ProcState::kWaitFence:
-      // These always hold (or wait on) live transactions or re-check state
-      // next tick; a quiescent machine resolves them within one cycle.
-      return 1;
-  }
-  return 1;
-}
-
-void Processor::skip_cycles(std::uint64_t cycles) {
-  switch (state_) {
-    case ProcState::kRunning:
-      // Mirrors tick(): one work cycle per quiet cycle.  The caller skips at
-      // most gap_left_ - 1 cycles, so the issuing tick still runs live.
-      SYNCPAT_ASSERT(gap_left_ > cycles);
-      stats_.work_cycles += cycles;
-      gap_left_ -= cycles;
-      if (mx_ != nullptr) {
-        mx_->attr.charge(obs::StallCat::kCompute, cycles);
-        resume_cat_ = obs::StallCat::kCompute;
-      }
-      break;
-    case ProcState::kSpin:
-    case ProcState::kWaitLock:
-      // Mirrors count_stall_cycle() for these states.
-      stats_.stall_lock += cycles;
-      if (mx_ != nullptr) {
-        const obs::StallCat cat = classify_wait_cycle();
-        mx_->attr.charge(cat, cycles);
-        resume_cat_ = cat;
-      }
-      break;
-    case ProcState::kDone:
-      break;
-    default:
-      SYNCPAT_ASSERT_MSG(false, "skip_cycles on a non-quiescent processor state");
-  }
-}
-
 void Processor::settle(std::uint64_t cycles, std::uint64_t through_cycle) {
   ticked_cycle_ = through_cycle;
   switch (state_) {

@@ -110,30 +110,12 @@ class Processor {
 
   [[nodiscard]] bool fence_pending() const;
 
-  // --- quiescence fast-forward --------------------------------------------
-
-  /// "No self-generated future event": returned by cycles_until_next_event()
-  /// for processors that only react to external stimuli (spinners, passive
-  /// lock/barrier waiters, finished traces).
-  static constexpr std::uint64_t kNever = ~0ULL;
-
-  /// Cycles until this processor next does anything beyond its bulk-
-  /// accountable per-cycle bookkeeping, assuming the machine stays quiescent
-  /// (no transaction anywhere, so no completion/invalidation can arrive):
-  ///   * kRunning counting down a work gap: the tick that issues the next
-  ///     reference is `gap_left_` cycles away;
-  ///   * kRunning at gap 0 (resume/retry): 1 — the next tick re-issues;
-  ///   * the transient wait states: 1, which makes the fast-forward engine
-  ///     fall back to per-cycle stepping;
-  ///   * kSpin / kWaitLock / kDone: kNever — purely event-driven.
-  [[nodiscard]] std::uint64_t cycles_until_next_event() const;
-
-  /// Bulk-accounts `cycles` quiet cycles exactly as that many tick() calls
-  /// would under a quiescent machine.  Precondition: the machine is quiescent
-  /// and `cycles` < cycles_until_next_event().
-  void skip_cycles(std::uint64_t cycles);
-
   // --- discrete-event core -------------------------------------------------
+
+  /// "No self-generated future event": returned by next_due_delta() for
+  /// processors that only react to external stimuli (waiters on a
+  /// transaction, spinners, passive lock/barrier waiters, finished traces).
+  static constexpr std::uint64_t kNever = ~0ULL;
 
   /// True when no transaction waits to drain into the bus interface.
   [[nodiscard]] bool pending_empty() const { return pending_.empty(); }

@@ -87,19 +87,8 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
       (recorder_ != nullptr && recorder_->wants(obs::category::kBus))) {
     bus_.set_observer(this);
   }
-  EngineSelection sel = resolve_engine_from_env(cfg_.engine, cfg_.fast_forward);
-  if (checker_ != nullptr) {
-    // The checker observes every cycle: force the per-cycle tick loop.
-    sel.engine = EngineKind::kTick;
-    sel.fast_forward = false;
-  }
-  engine_ = sel.engine;
-  ff_enabled_ = engine_ == EngineKind::kTick && sel.fast_forward;
-  ff_stats_.enabled = ff_enabled_;
+  engine_ = resolve_engine_from_env(cfg_.engine);
   des_stats_.enabled = engine_ == EngineKind::kDes;
-  ff_next_issue_.resize(nprocs);
-  ff_acct_.resize(nprocs);
-  ff_due_.reserve(nprocs);
   des_acct_.assign(nprocs, 0);
   des_words_ = (nprocs + 63) / 64;
   des_due_now_.assign(des_words_, 0);
@@ -119,22 +108,16 @@ bool Simulator::all_done() const {
 }
 
 SimulationResult Simulator::run() {
+  const std::int64_t loop_t0 =
+      self_prof_ != nullptr ? obs::SelfProfiler::now_ns() : 0;
   if (engine_ == EngineKind::kDes) {
-    run_des();  // self-times into Phase::kEventLoop when a profiler is attached
-  } else if (self_prof_ != nullptr) {
-    run_loop_profiled();
-  } else if (ff_enabled_) {
-    while (!all_done()) {
-      fast_forward();
-      // The run-ahead loop may have executed the final processor's completing
-      // tick itself; stepping once more would move the clock past it.
-      if (all_done()) break;
-      step();
-    }
+    run_des();
   } else {
-    while (!all_done()) {
-      step();
-    }
+    while (!all_done()) step();
+  }
+  if (self_prof_ != nullptr) {
+    self_prof_->charge(obs::SelfProfiler::Phase::kEventLoop,
+                       obs::SelfProfiler::now_ns() - loop_t0);
   }
   if (checker_) {
     if (self_prof_ != nullptr) {
@@ -160,34 +143,6 @@ SimulationResult Simulator::run() {
   return collect_results();
 }
 
-void Simulator::run_loop_profiled() {
-  using Phase = obs::SelfProfiler::Phase;
-  if (ff_enabled_) {
-    while (!all_done()) {
-      {
-        const std::int64_t t0 = obs::SelfProfiler::now_ns();
-        const std::uint64_t before = cycle_;
-        fast_forward();
-        // A call that moved the clock is run-ahead; one that bailed without
-        // advancing is the quiescence probe's cost.
-        self_prof_->charge(
-            cycle_ > before ? Phase::kFastForward : Phase::kQuiescenceProbe,
-            obs::SelfProfiler::now_ns() - t0);
-      }
-      if (all_done()) break;
-      const std::int64_t t0 = obs::SelfProfiler::now_ns();
-      step();
-      self_prof_->charge(Phase::kDenseTick, obs::SelfProfiler::now_ns() - t0);
-    }
-  } else {
-    while (!all_done()) {
-      const std::int64_t t0 = obs::SelfProfiler::now_ns();
-      step();
-      self_prof_->charge(Phase::kDenseTick, obs::SelfProfiler::now_ns() - t0);
-    }
-  }
-}
-
 void Simulator::finalize_metrics() {
   std::uint64_t run_time = 0;
   for (const auto& p : procs_) {
@@ -199,172 +154,6 @@ void Simulator::finalize_metrics() {
   metrics_->count("mem.requests_served", memory_.requests_served());
   metrics_->count("mem.busy_cycles", memory_.busy_cycles());
   metrics_->count("barriers.completed", barriers_completed_);
-}
-
-bool Simulator::quiescent() const {
-  return active_.empty() && bus_.idle() && memory_.quiescent() &&
-         line_inflight_.empty() && fill_retry_.empty();
-}
-
-// Effectiveness probe, deterministic in simulation state.  On issue-dense
-// stretches (several references issuing on most cycles) quiet cycles are too
-// rare to pay for the run-ahead bookkeeping, so a window that skipped fewer
-// than ~6% of its cycles pauses the engine, with exponential backoff on
-// consecutive unproductive windows.  Probing resumes after each pause, so a
-// later quiescent phase (contention parking processors in cached spins, a
-// coarse-grained region) re-engages the fast path within one backoff period.
-void Simulator::ff_probe() {
-  if (ff_paused_until_ != 0) {
-    // A pause just expired: open a fresh probe window.
-    ff_paused_until_ = 0;
-    ff_window_skip_base_ = ff_stats_.skipped_cycles;
-    ff_eval_cycle_ = cycle_ + kFfEvalPeriod;
-    return;
-  }
-  const std::uint64_t window_skipped =
-      ff_stats_.skipped_cycles - ff_window_skip_base_;
-  if (window_skipped * 16 < kFfEvalPeriod) {
-    ++ff_stats_.probe_pauses;
-    ff_paused_until_ = cycle_ + ff_pause_windows_ * kFfEvalPeriod;
-    ff_eval_cycle_ = ff_paused_until_;
-    if (ff_pause_windows_ < kFfMaxPauseWindows) ff_pause_windows_ *= 2;
-  } else {
-    ff_pause_windows_ = 1;
-    ff_window_skip_base_ = ff_stats_.skipped_cycles;
-    ff_eval_cycle_ = cycle_ + kFfEvalPeriod;
-  }
-}
-
-void Simulator::fast_forward() {
-  if (cycle_ >= ff_eval_cycle_) ff_probe();
-  if (cycle_ < ff_paused_until_) return;
-  if (!quiescent()) return;
-
-  // First cycle the run-ahead loop must NOT execute itself: a backoff-timer
-  // fire creates a transaction (step() runs it), and a runaway trace has to
-  // trip step()'s max_cycles assert exactly as per-cycle stepping would.
-  // After the previous step every timer satisfies fire_cycle > cycle_.
-  std::uint64_t horizon = cfg_.max_cycles == Processor::kNever
-                              ? Processor::kNever
-                              : cfg_.max_cycles + 1;
-  for (const Timer& t : timers_) horizon = std::min(horizon, t.fire_cycle);
-
-  const auto nprocs = static_cast<std::uint32_t>(procs_.size());
-  for (std::uint32_t p = 0; p < nprocs; ++p) {
-    const Processor& proc = *procs_[p];
-    if (proc.state() == ProcState::kSpin &&
-        !scheme_->spinner_skippable(p, spin_line_[p])) {
-      return;  // scheme vetoes skipping this spinner: stay per-cycle
-    }
-    const std::uint64_t d = proc.cycles_until_next_event();
-    if (d == 1 && proc.state() != ProcState::kRunning) {
-      return;  // transient wait state: one per-cycle step resolves it
-    }
-    ff_next_issue_[p] = d == Processor::kNever ? Processor::kNever : cycle_ + d;
-    ff_acct_[p] = cycle_;
-  }
-
-  // Event-driven loop: execute issuing ticks in global time order with the
-  // real per-cycle machinery.  Every other phase of step() is a no-op on a
-  // quiescent machine — nothing to retry or grant (a transaction created at
-  // cycle T reaches its bus interface only at T + 1), an empty memory module
-  // cannot change state, and no timer is due before `horizon` — so between
-  // issuing ticks processors only burn bulk-accountable work/stall cycles.
-  const std::uint64_t entry_cycle = cycle_;
-  std::uint64_t executed = 0;
-  for (;;) {
-    // One pass: the earliest next-issue cycle and the processors due on it.
-    std::uint64_t t_min = Processor::kNever;
-    ff_due_.clear();
-    for (std::uint32_t p = 0; p < nprocs; ++p) {
-      const std::uint64_t v = ff_next_issue_[p];
-      if (v > t_min) continue;
-      if (v < t_min) {
-        t_min = v;
-        ff_due_.clear();
-      }
-      ff_due_.push_back(p);
-    }
-
-    if (t_min >= horizon) {
-      // Nothing left to execute before the horizon.  Jump quietly: to one
-      // cycle before a pending timer fire, or to max_cycles for a runaway
-      // trace.  With neither — every processor event-driven and no timer
-      // pending — this is a genuine deadlock: stay put so per-cycle stepping
-      // reaches the progress watchdog's diagnostic.
-      if (horizon <= cfg_.max_cycles) {
-        cycle_ = horizon - 1;
-      } else if (t_min != Processor::kNever) {
-        cycle_ = cfg_.max_cycles;
-      }
-      break;
-    }
-
-    cycle_ = t_min;
-    ++executed;
-    for (const std::uint32_t p : ff_due_) {
-      if (const std::uint64_t quiet = (t_min - 1) - ff_acct_[p]; quiet > 0) {
-        procs_[p]->skip_cycles(quiet);
-      }
-      procs_[p]->tick();
-      ff_acct_[p] = t_min;
-    }
-    // Processor ticks are the only thing that ran, and they can only alter
-    // the rest of the machine by creating transactions — so active_ alone
-    // decides whether the machine is still quiescent (cf. quiescent()).
-    if (!active_.empty()) break;  // a transaction exists: step() takes over
-
-    // Re-derive the ticked processors' next issuing cycle.  A tick that left
-    // the machine quiescent ended in kRunning (pure hits), kDone, or a
-    // no-traffic lock wait; anything else hands back to per-cycle stepping.
-    bool bail = false;
-    bool completed_trace = false;
-    for (const std::uint32_t p : ff_due_) {
-      const Processor& proc = *procs_[p];
-      const std::uint64_t d = proc.cycles_until_next_event();
-      if (proc.state() == ProcState::kRunning) {
-        ff_next_issue_[p] = t_min + d;
-      } else if (d == Processor::kNever) {
-        if (proc.state() == ProcState::kSpin &&
-            !scheme_->spinner_skippable(p, spin_line_[p])) {
-          bail = true;
-          break;
-        }
-        ff_next_issue_[p] = Processor::kNever;
-        completed_trace |= proc.done();
-      } else {
-        bail = true;
-        break;
-      }
-    }
-    if (bail) break;
-    // The completing tick of the final trace must be the last cycle of the
-    // run: run() exits without another step, as per-cycle stepping does.
-    if (completed_trace && all_done()) break;
-  }
-
-  // Settle: bring every processor's quiet bookkeeping and the bus's
-  // utilization denominator up to the cycle the machine now stands at.
-  for (std::uint32_t p = 0; p < nprocs; ++p) {
-    if (const std::uint64_t lag = cycle_ - ff_acct_[p]; lag > 0) {
-      procs_[p]->skip_cycles(lag);
-    }
-  }
-  if (cycle_ > entry_cycle) {
-    bus_.advance_idle(cycle_ - entry_cycle);
-    ++ff_stats_.jumps;
-    ff_stats_.run_ahead_cycles += executed;
-    ff_stats_.skipped_cycles += (cycle_ - entry_cycle) - executed;
-    if (tracing(obs::category::kIdle)) {
-      // One bulk span for the whole quiescent stretch, in place of the
-      // per-cycle events that were never generated.
-      recorder_->emit(obs::TraceEvent{entry_cycle, obs::EventKind::kIdleSpan,
-                                      -1, 0, cycle_ - entry_cycle, executed});
-    }
-    // Fast-forward boundary: re-arm the watchdog scan so a stretch spanning
-    // several check periods still records the bulk-accounted progress.
-    check_progress();
-  }
 }
 
 void Simulator::pre_proc_phases() {
@@ -432,24 +221,25 @@ void Simulator::step() {
   arbitrate();
   if (Transaction* done = bus_.tick()) complete_bus(done);
 
-  if (checker_) {
-    if (self_prof_ != nullptr) {
-      // Nested phase: the profiled loop times the whole step() as dense tick,
-      // so move the checker's share into its own bucket (the compensating
-      // entry adds no call count).
-      const std::int64_t t0 = obs::SelfProfiler::now_ns();
-      checker_->on_cycle(*this);
-      const std::int64_t dt = obs::SelfProfiler::now_ns() - t0;
-      self_prof_->charge(obs::SelfProfiler::Phase::kInvariantCheck, dt);
-      self_prof_->charge(obs::SelfProfiler::Phase::kDenseTick, -dt, 0);
-    } else {
-      checker_->on_cycle(*this);
-    }
-  }
-  // The watchdog scan walks every processor; a periodic check (plus one at
-  // every fast-forward boundary) keeps the 500k-cycle deadlock diagnostic
-  // while taking it off the per-cycle path.
+  if (checker_) check_invariants();
+  // The watchdog scan walks every processor; a periodic check keeps the
+  // 500k-cycle deadlock diagnostic while taking it off the per-cycle path.
   if ((cycle_ & (kProgressCheckPeriod - 1)) == 0) check_progress();
+}
+
+void Simulator::check_invariants() {
+  if (self_prof_ == nullptr) {
+    checker_->on_cycle(*this);
+    return;
+  }
+  // Nested phase: run() times the whole engine loop as the event loop, so
+  // move the checker's share into its own bucket (the compensating entry
+  // adds no call count).
+  const std::int64_t t0 = obs::SelfProfiler::now_ns();
+  checker_->on_cycle(*this);
+  const std::int64_t dt = obs::SelfProfiler::now_ns() - t0;
+  self_prof_->charge(obs::SelfProfiler::Phase::kInvariantCheck, dt);
+  self_prof_->charge(obs::SelfProfiler::Phase::kEventLoop, -dt, 0);
 }
 
 void Simulator::check_progress() {
@@ -658,6 +448,10 @@ void Simulator::step_des() {
     }
   }
 
+  // Caches, active_ and line_inflight_ — all the checker reads — change only
+  // on event cycles, so checking here sees every state per-cycle checks see.
+  if (checker_) check_invariants();
+
   // Watchdog: the tick loop checks on exact kProgressCheckPeriod multiples;
   // event cycles rarely land on one, so check at the first event cycle at or
   // past each boundary (the 500k-cycle deadlock threshold is unchanged).
@@ -675,8 +469,6 @@ void Simulator::run_des() {
     des_reschedule(p);
   }
   while (!all_done()) {
-    const std::int64_t t0 =
-        self_prof_ != nullptr ? obs::SelfProfiler::now_ns() : 0;
     std::uint64_t t = des_next_event();
     if (t == Processor::kNever) {
       // Genuine deadlock: nothing will ever act again.  Jump to where the
@@ -694,16 +486,13 @@ void Simulator::run_des() {
       if (const std::uint64_t span = target - cycle_; span > 0) {
         bus_.free() ? bus_.advance_idle(span) : bus_.advance_busy(span);
         memory_.advance(span);
+        if (checker_) checker_->on_span(*this, cycle_, target);
         cycle_ = target;
         ++des_stats_.spans;
         des_stats_.span_cycles += span;
       }
     }
     step_des();
-    if (self_prof_ != nullptr) {
-      self_prof_->charge(obs::SelfProfiler::Phase::kEventLoop,
-                         obs::SelfProfiler::now_ns() - t0);
-    }
   }
   // Book the final waited cycles of processors parked out of the queue (the
   // tick loop's last step ticks everyone; ours only ticked the due set).

@@ -39,24 +39,9 @@ namespace syncpat::core {
 
 class InvariantChecker;
 
-/// Bookkeeping of the quiescence fast-forward engine (see run()).  Purely
-/// diagnostic: skipped cycles are bulk-accounted into the same counters
-/// per-cycle stepping feeds, so SimulationResult never depends on these.
-struct FastForwardStats {
-  bool enabled = false;
-  std::uint64_t jumps = 0;             // quiescent stretches taken over by the
-                                       // run-ahead loop
-  std::uint64_t skipped_cycles = 0;    // quiet cycles bulk-accounted and never
-                                       // individually stepped
-  std::uint64_t run_ahead_cycles = 0;  // cycles whose issuing ticks ran inside
-                                       // the run-ahead loop instead of step()
-  std::uint64_t probe_pauses = 0;      // times the effectiveness probe paused
-                                       // the engine on an unproductive window
-};
-
 /// Bookkeeping of the discrete-event core (see run_des()).  Purely
-/// diagnostic, like FastForwardStats: every skipped cycle is bulk-accounted
-/// into the same counters stepping feeds, so results never depend on these.
+/// diagnostic: every skipped cycle is bulk-accounted into the same counters
+/// stepping feeds, so results never depend on these.
 struct DesStats {
   bool enabled = false;
   std::uint64_t stepped_cycles = 0;  // event cycles executed by step_des()
@@ -75,29 +60,18 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Runs to completion of every processor's trace on the resolved engine
-  /// (config().engine, overridable by SYNCPAT_ENGINE / the deprecated
-  /// SYNCPAT_FAST_FORWARD, forced to per-cycle tick by the invariant
-  /// checker).  The DES core, the tick loop, and the tick loop with its
-  /// quiescence run-ahead all produce byte-identical results.
+  /// (config().engine, overridable by SYNCPAT_ENGINE).  The DES core and the
+  /// per-cycle tick loop produce byte-identical results.
   SimulationResult run();
 
   /// Single-step interface for tests.  Always advances exactly one cycle on
-  /// the per-cycle tick machinery; the DES core and the quiescence run-ahead
-  /// only ever engage inside run().
+  /// the per-cycle tick machinery; the DES core only engages inside run().
   void step();
   [[nodiscard]] bool all_done() const;
   [[nodiscard]] SimulationResult collect_results() const;
 
-  /// True when no transaction exists anywhere in the machine: nothing on the
-  /// bus or queued for it, memory fully drained, no fill retries, no line in
-  /// flight.  Every transaction lives in active_ from creation to retirement,
-  /// so the first test implies the rest (the others are cheap corroboration).
-  [[nodiscard]] bool quiescent() const;
-  [[nodiscard]] const FastForwardStats& fast_forward_stats() const {
-    return ff_stats_;
-  }
   [[nodiscard]] const DesStats& des_stats() const { return des_stats_; }
-  /// The engine run() will use (config + environment + checker override).
+  /// The engine run() will use (config + environment).
   [[nodiscard]] EngineKind engine() const { return engine_; }
 
   // --- SchemeServices ------------------------------------------------------
@@ -209,16 +183,10 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   void retire(bus::Transaction* txn);
   void notify_invalidation(std::uint32_t proc, std::uint32_t line_addr);
   void check_progress();
-  /// Event-driven run-ahead over a quiescent stretch.  While no transaction
-  /// exists anywhere, processors interact with nothing outside their own
-  /// cache, so their issuing ticks can be executed in global time order with
-  /// the real tick() and every quiet cycle in between bulk-accounted.  Hands
-  /// back to step() the moment a transaction appears, a backoff timer is due,
-  /// or a processor enters a state it cannot reason about.  No-op when the
-  /// machine is not quiescent.
-  void fast_forward();
-  /// run()'s main loop with SelfProfiler timestamps around each phase.
-  void run_loop_profiled();
+  /// End-of-cycle invariant checks, shared by step() and step_des().  With a
+  /// profiler attached, the checker's time moves out of the engine loop's
+  /// bucket into its own.
+  void check_invariants();
 
   // --- discrete-event core (see run_des()) ---------------------------------
   /// Phases 1-2b of step(): deferred fills, memory, backoff timers.  Shared
@@ -252,9 +220,8 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   void des_reschedule(std::uint32_t proc);
   void des_mark_dirty(std::uint32_t proc);
   /// Clips the bus gauge at the run's final cycle and stamps the machine
-  /// counters.  Only values identical across fast-forward modes belong here
-  /// (the export is compared byte-for-byte between them), so ff_stats_ stays
-  /// out.
+  /// counters.  Only values identical across engines belong here (the export
+  /// is compared byte-for-byte between them), so des_stats_ stays out.
   void finalize_metrics();
 
   MachineConfig cfg_;
@@ -306,8 +273,6 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   std::vector<std::uint32_t> outstanding_fence_;  // per proc
 
   EngineKind engine_ = EngineKind::kDes;
-  bool ff_enabled_ = false;
-  FastForwardStats ff_stats_;
   DesStats des_stats_;
 
   // --- discrete-event core state -------------------------------------------
@@ -332,22 +297,6 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   std::vector<std::uint64_t> des_due_now_;  // must tick this event cycle
   std::vector<std::uint64_t> des_dirty_;    // re-schedule at end of cycle
   std::uint64_t des_next_progress_check_ = kProgressCheckPeriod;
-  // Run-ahead scratch (sized once): per-processor absolute cycle of the next
-  // issuing tick (Processor::kNever for event-driven waiters) and the cycle
-  // through which each processor's quiet bookkeeping is already accounted.
-  std::vector<std::uint64_t> ff_next_issue_;
-  std::vector<std::uint64_t> ff_acct_;
-  std::vector<std::uint32_t> ff_due_;  // procs issuing at the current t_min
-  // Effectiveness probe (see fast_forward()): windows where skipping was too
-  // rare to pay for the entry scans pause the engine with exponential
-  // backoff; probing resumes so later quiescent phases are still caught.
-  static constexpr std::uint64_t kFfEvalPeriod = 1u << 18;
-  static constexpr std::uint64_t kFfMaxPauseWindows = 16;
-  std::uint64_t ff_eval_cycle_ = kFfEvalPeriod;
-  std::uint64_t ff_paused_until_ = 0;      // 0 = engine active
-  std::uint64_t ff_window_skip_base_ = 0;  // skipped_cycles at window start
-  std::uint64_t ff_pause_windows_ = 1;     // current backoff length
-  void ff_probe();
   // Scratch buffers reused every cycle so step() never heap-allocates.
   std::vector<bus::Transaction*> fill_retry_scratch_;
   std::vector<bus::Transaction*> absorbed_scratch_;
@@ -372,9 +321,9 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   util::RunningStat barrier_waiters_at_arrival_;
   BusTraffic traffic_;
 
-  // Progress watchdog: scanned every kProgressCheckPeriod cycles (and at
-  // fast-forward boundaries) instead of every cycle; the 500k-cycle deadlock
-  // threshold is unchanged, so diagnosis moves by at most one period.
+  // Progress watchdog: scanned every kProgressCheckPeriod cycles instead of
+  // every cycle; the 500k-cycle deadlock threshold is unchanged, so
+  // diagnosis moves by at most one period.
   static constexpr std::uint64_t kProgressCheckPeriod = 1024;  // power of two
   std::uint64_t last_progress_cycle_ = 0;
   std::uint64_t progress_marker_ = 0;

@@ -69,7 +69,7 @@ struct FuzzCase {
   [[nodiscard]] static FuzzCase generate(std::uint64_t master_seed,
                                          std::uint64_t index);
 
-  /// The machine half of the case (invariants/trace/fast-forward left at
+  /// The machine half of the case (invariants/trace/metrics/engine left at
   /// their defaults; oracles toggle those per run).
   [[nodiscard]] core::MachineConfig machine_config() const;
 

@@ -30,7 +30,7 @@ HarnessReport run_fuzz(const HarnessOptions& opt, std::ostream& out) {
 
   out << "syncpat_fuzz: seed " << opt.seed << ", " << opt.cases
       << " cases, oracles [invariants=" << opt.oracles.check_invariants
-      << " fast-forward=" << opt.oracles.check_fast_forward
+      << " engine=" << opt.oracles.check_engine
       << " jobs=" << opt.oracles.check_jobs
       << " trace-roundtrip=" << opt.oracles.check_trace_roundtrip
       << " conservation=" << opt.oracles.check_conservation << "]\n";

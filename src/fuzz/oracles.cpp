@@ -266,14 +266,12 @@ OracleVerdict run_oracles(const FuzzCase& c, const OracleOptions& opt) {
     }
   }
 
-  // Reference run: per-cycle tick stepping (pinned explicitly — the config
-  // default is the DES core), invariant checker (optionally) live, lock
-  // tracing on so hand-off/acquire event counts can be conserved against the
-  // stats aggregates.
+  // Reference run: the DES core (pinned explicitly), invariant checker
+  // (optionally) live, lock tracing on so hand-off/acquire event counts can
+  // be conserved against the stats aggregates.
   core::MachineConfig ref_cfg = base;
   ref_cfg.invariants.enabled = opt.check_invariants;
-  ref_cfg.engine = core::EngineKind::kTick;
-  ref_cfg.fast_forward = false;
+  ref_cfg.engine = core::EngineKind::kDes;
   ref_cfg.trace.enabled = opt.check_conservation;
   ref_cfg.trace.categories = obs::category::kLocks;
   ref_cfg.metrics.enabled = opt.check_metrics;
@@ -303,34 +301,19 @@ OracleVerdict run_oracles(const FuzzCase& c, const OracleOptions& opt) {
   }
 
   if (opt.check_engine) {
-    // Differential #7: the discrete-event core vs per-cycle ticking;
-    // checker, tracing and metrics off.  Byte-identity with the reference
-    // run simultaneously proves DES equivalence and that the checker, the
-    // recorder and the metrics registry never perturb a result.
-    core::MachineConfig des_cfg = base;
-    des_cfg.engine = core::EngineKind::kDes;
+    // Differential #7: plain per-cycle ticking (checker, tracing and metrics
+    // off) vs the reference run.  Byte-identity simultaneously proves DES
+    // equivalence and that the checker, the recorder and the metrics
+    // registry never perturb a result.
+    core::MachineConfig tick_cfg = base;
+    tick_cfg.engine = core::EngineKind::kTick;
     program.reset_all();
-    core::Simulator des_sim(des_cfg, program);
-    const std::string a = render_result(ref);
-    const std::string b = render_result(des_sim.run());
+    core::Simulator tick_sim(tick_cfg, program);
+    const std::string a = render_result(tick_sim.run());
+    const std::string b = render_result(ref);
     if (a != b) {
       fail(v, "engine",
            "per-cycle tick vs DES results diverge at " + first_diff(a, b));
-    }
-  }
-
-  if (opt.check_fast_forward) {
-    // Differential: tick engine with the quiescence run-ahead on.
-    core::MachineConfig ff_cfg = base;
-    ff_cfg.engine = core::EngineKind::kTick;
-    ff_cfg.fast_forward = true;
-    program.reset_all();
-    core::Simulator ff_sim(ff_cfg, program);
-    const std::string a = render_result(ref);
-    const std::string b = render_result(ff_sim.run());
-    if (a != b) {
-      fail(v, "fast-forward",
-           "per-cycle vs fast-forward results diverge at " + first_diff(a, b));
     }
   }
 

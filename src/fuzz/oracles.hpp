@@ -2,32 +2,32 @@
 //
 // Each oracle is a universally-quantified correctness statement — it must
 // hold for EVERY machine configuration and workload, not just the paper's
-// table cells:
+// table cells.  Numbered as the docs cite them (#2, a differential for a
+// since-deleted tick-engine mode, is retired; the others keep their numbers):
 //
-//   invariants        the runtime invariant checker (MESI coherence, one
-//                     transaction per line, lock mutual exclusion, FIFO
-//                     hand-off) reports zero violations;
-//   engine            the discrete-event core and per-cycle tick stepping
-//                     produce byte-identical SimulationResults
-//                     (render_result string equality);
-//   fast-forward      the tick engine with and without its quiescence
-//                     run-ahead produces byte-identical SimulationResults;
-//   jobs              the experiment engine returns byte-identical cell
-//                     results with 1 worker and with N workers;
-//   trace-roundtrip   a generated trace survives save -> load -> save with
-//                     identical events and identical bytes;
-//   conservation      acquires == releases per lock and no lock held at end
-//                     (trace validator), traced hand-off events == the
-//                     Transfers aggregate, per-processor
-//                     work + stalls == completion cycle, and
-//                     run_time == max completion cycle;
-//   metrics           the metrics registry's stall attribution conserves
-//                     every cycle (sum over categories == completion cycle
-//                     per processor), its per-lock histograms agree with the
-//                     LockStats aggregates, and its bus gauge equals the
-//                     bus's own busy counter.  The reference run carries the
-//                     registry, so the fast-forward byte-identity comparison
-//                     also proves metrics-enabled runs change nothing.
+//   #1 invariants        the runtime invariant checker (MESI coherence, one
+//                        transaction per line, lock mutual exclusion, FIFO
+//                        hand-off) reports zero violations on the DES core;
+//   #3 jobs              the experiment engine returns byte-identical cell
+//                        results with 1 worker and with N workers;
+//   #4 trace-roundtrip   a generated trace survives save -> load -> save with
+//                        identical events and identical bytes;
+//   #5 conservation      acquires == releases per lock and no lock held at
+//                        end (trace validator), traced hand-off events == the
+//                        Transfers aggregate, per-processor
+//                        work + stalls == completion cycle, and
+//                        run_time == max completion cycle;
+//   #6 metrics           the metrics registry's stall attribution conserves
+//                        every cycle (sum over categories == completion cycle
+//                        per processor), its per-lock histograms agree with
+//                        the LockStats aggregates, and its bus gauge equals
+//                        the bus's own busy counter;
+//   #7 engine            the reference run — the DES core with the checker,
+//                        lock tracing and metrics attached — and a plain
+//                        per-cycle tick run produce byte-identical
+//                        SimulationResults (render_result string equality),
+//                        proving DES equivalence and that no observer
+//                        perturbs a result.
 //
 // run_oracles never throws on a *failing* oracle — failures come back as
 // structured text so the harness can shrink and serialize the case.  It does
@@ -46,7 +46,6 @@ namespace syncpat::fuzz {
 struct OracleOptions {
   bool check_invariants = true;
   bool check_engine = true;
-  bool check_fast_forward = true;
   bool check_jobs = true;
   bool check_trace_roundtrip = true;
   bool check_conservation = true;

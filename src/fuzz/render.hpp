@@ -1,5 +1,5 @@
 // Exhaustive textual rendering of a SimulationResult for byte-identity
-// differentials (fast-forward on/off, --jobs 1-vs-N, traced vs untraced).
+// differentials (DES vs per-cycle tick, --jobs 1-vs-N, traced vs untraced).
 //
 // Every field is included — RunningStat moments too, which would expose a
 // single reordered or double-counted sample — and doubles are printed as

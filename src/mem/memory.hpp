@@ -85,12 +85,6 @@ class Memory {
   }
 
   [[nodiscard]] bool idle() const { return active_ == nullptr && input_.empty(); }
-  /// Quiescence predicate for the fast-forward engine: no access in service
-  /// and every buffer empty, so idle cycles cannot change module state.
-  [[nodiscard]] bool quiescent() const {
-    return active_ == nullptr && input_.empty() && output_.empty() &&
-           absorbed_.empty();
-  }
   [[nodiscard]] std::uint64_t requests_served() const { return served_; }
   [[nodiscard]] std::uint64_t busy_cycles() const { return busy_cycles_; }
 

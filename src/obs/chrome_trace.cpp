@@ -203,12 +203,6 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
       append_event(instant("barrier release", "barriers", kPidMachine, 0,
                            ev.cycle, args));
       break;
-    case EventKind::kIdleSpan:
-      std::snprintf(args, sizeof args, "\"executed_ticks\":%llu",
-                    static_cast<unsigned long long>(ev.b));
-      append_event(complete_span("quiescent", "idle", kPidMachine, 0, ev.cycle,
-                                 ev.a, args));
-      break;
   }
 }
 

@@ -1,6 +1,6 @@
 // Chrome trace-event JSON exporter (the `chrome://tracing` / Perfetto
 // format): one track per processor, one per lock word, one for the bus, and
-// one machine-wide track for barriers and fast-forwarded idle spans.  Two
+// one machine-wide track for barriers.  Two
 // counter ("ph":"C") series ride along: windowed bus-busy cycles on the bus
 // track and a live waiter count per lock word, so the viewer graphs
 // contention over time next to the spans that caused it.

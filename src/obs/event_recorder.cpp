@@ -14,9 +14,9 @@ struct NamedCategory {
 };
 
 constexpr NamedCategory kNamed[] = {
-    {"locks", category::kLocks},     {"bus", category::kBus},
+    {"locks", category::kLocks},         {"bus", category::kBus},
     {"coherence", category::kCoherence}, {"barriers", category::kBarriers},
-    {"idle", category::kIdle},       {"all", category::kAll},
+    {"all", category::kAll},
 };
 
 }  // namespace
@@ -42,7 +42,7 @@ std::uint32_t parse_categories(const std::string& list) {
       throw std::invalid_argument(
           "unknown trace category \"" + token +
           "\" (expected a comma-separated list of "
-          "locks|bus|coherence|barriers|idle|all)");
+          "locks|bus|coherence|barriers|all)");
     }
     any = true;
   }
@@ -78,7 +78,6 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kMesiTransition: return "mesi-transition";
     case EventKind::kBarrierArrive: return "barrier-arrive";
     case EventKind::kBarrierRelease: return "barrier-release";
-    case EventKind::kIdleSpan: return "idle-span";
   }
   return "?";
 }
@@ -101,8 +100,6 @@ std::uint32_t event_category(EventKind k) {
     case EventKind::kBarrierArrive:
     case EventKind::kBarrierRelease:
       return category::kBarriers;
-    case EventKind::kIdleSpan:
-      return category::kIdle;
   }
   return 0;
 }

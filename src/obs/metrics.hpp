@@ -9,7 +9,7 @@
 //
 // Everything in the registry is a deterministic function of simulation state:
 // integer cycle counts keyed by sorted maps, so two runs of the same cell —
-// on any --jobs count, fast-forward on or off — render identical bytes.
+// on any --jobs count, on either engine — render identical bytes.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +100,8 @@ class MetricsRegistry {
   [[nodiscard]] const BusWindowGauge& bus() const { return bus_; }
 
   /// Named machine-level counter (accumulating; sorted for export).  Only
-  /// deterministic-across-modes values belong here: the export is compared
-  /// byte-for-byte between fast-forward on and off.
+  /// deterministic-across-engines values belong here: the export is compared
+  /// byte-for-byte between DES and per-cycle tick.
   void count(const std::string& name, std::uint64_t n) { counters_[name] += n; }
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;

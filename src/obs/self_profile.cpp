@@ -8,12 +8,9 @@ namespace syncpat::obs {
 
 const char* SelfProfiler::phase_name(Phase p) {
   switch (p) {
-    case Phase::kDenseTick: return "dense_tick";
-    case Phase::kQuiescenceProbe: return "quiescence_probe";
-    case Phase::kFastForward: return "fast_forward";
+    case Phase::kEventLoop: return "event_loop";
     case Phase::kInvariantCheck: return "invariant_check";
     case Phase::kTraceEmit: return "trace_emit";
-    case Phase::kEventLoop: return "event_loop";
   }
   return "?";
 }

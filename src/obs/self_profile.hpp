@@ -1,12 +1,11 @@
 // Host-side engine self-profiler: attributes the simulator's *wall-clock*
-// time (not simulated cycles) to engine phases, so the DES-rewrite candidate
-// (ROADMAP item 1) has a measured before-picture of where the host CPU goes —
-// dense tick loop vs quiescence probing vs fast-forward run-ahead vs
-// invariant checking vs trace emission.
+// time (not simulated cycles) to engine phases — the engine loop (either
+// engine, timed at one site in Simulator::run()) vs invariant checking vs
+// trace emission.
 //
 // Null-unless-attached like every other observer: the Simulator holds a raw
-// SelfProfiler pointer and takes the instrumented run loop only when one is
-// attached, so un-profiled runs don't even execute the timestamp calls.
+// SelfProfiler pointer and reads the clock only when one is attached, so
+// un-profiled runs don't even execute the timestamp calls.
 // Timestamps use steady_clock; the constructor measures the clock-read cost
 // so reports can show how much of the attributed time is timer overhead.
 //
@@ -24,14 +23,11 @@ namespace syncpat::obs {
 class SelfProfiler {
  public:
   enum class Phase : std::uint8_t {
-    kDenseTick = 0,     // Simulator::step() — the per-cycle engine loop
-    kQuiescenceProbe,   // fast_forward() calls that found no skippable span
-    kFastForward,       // fast_forward() calls that skipped ahead
-    kInvariantCheck,    // invariant checker per-cycle and end-of-run sweeps
-    kTraceEmit,         // event recorder flush / sink finalization
-    kEventLoop,         // Simulator::run_des() — the discrete-event core
+    kEventLoop = 0,   // the engine loop: run_des() or the per-cycle step() loop
+    kInvariantCheck,  // invariant checker per-cycle and end-of-run sweeps
+    kTraceEmit,       // event recorder flush / sink finalization
   };
-  static constexpr std::size_t kNumPhases = 6;
+  static constexpr std::size_t kNumPhases = 3;
 
   [[nodiscard]] static const char* phase_name(Phase p);
 

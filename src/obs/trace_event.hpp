@@ -20,9 +20,7 @@ inline constexpr std::uint32_t kLocks = 1u << 0;
 inline constexpr std::uint32_t kBus = 1u << 1;
 inline constexpr std::uint32_t kCoherence = 1u << 2;
 inline constexpr std::uint32_t kBarriers = 1u << 3;
-inline constexpr std::uint32_t kIdle = 1u << 4;
-inline constexpr std::uint32_t kAll =
-    kLocks | kBus | kCoherence | kBarriers | kIdle;
+inline constexpr std::uint32_t kAll = kLocks | kBus | kCoherence | kBarriers;
 }  // namespace category
 
 /// Parses a comma-separated category list ("locks,bus", "all").  Throws
@@ -51,8 +49,6 @@ enum class EventKind : std::uint8_t {
   // barriers
   kBarrierArrive,   // a = waiters already at the barrier
   kBarrierRelease,  // last arrival; a = processors released
-  // fast-forward
-  kIdleSpan,  // bulk-skipped quiescent stretch; a = length, b = executed ticks
 };
 
 [[nodiscard]] const char* event_kind_name(EventKind k);

@@ -35,7 +35,7 @@ class AndersonLock final : public LockScheme {
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
   /// Slot spinners wake only via the releaser's single-line invalidation, so
-  /// the quiescence fast-forward may skip over them.
+  /// the DES core may settle them lazily.
   [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
                                        std::uint32_t /*spin_line*/) const override {
     return true;

@@ -45,7 +45,7 @@ class ClhLock final : public LockScheme {
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
   /// Predecessor-node spinners wake only via the releaser's targeted
-  /// invalidation, so the quiescence fast-forward may skip over them.
+  /// invalidation, so the DES core may settle them lazily.
   [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
                                        std::uint32_t /*spin_line*/) const override {
     return true;

@@ -44,7 +44,7 @@ class McsLock final : public LockScheme {
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
   /// Node spinners wake only via the releaser's (or an enqueuer's) targeted
-  /// invalidation, so the quiescence fast-forward may skip over them.
+  /// invalidation, so the DES core may settle them lazily.
   [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
                                        std::uint32_t /*spin_line*/) const override {
     return true;

@@ -104,12 +104,12 @@ class LockScheme {
   [[nodiscard]] virtual bool held_by_other(std::uint32_t proc,
                                            std::uint32_t lock_line) const = 0;
 
-  /// Fast-forward contract: true when a processor spinning in-cache on
-  /// `spin_line` has no self-generated future event — it reacts only to an
-  /// invalidation of its cached copy (on_spin_invalidated) or a timer, both
-  /// of which the simulator tracks.  Every shipped scheme satisfies this;
-  /// a scheme whose spinners poll on their own clock must return false so
-  /// the quiescence skip degrades to per-cycle stepping around them.
+  /// DES contract: true when a processor spinning in-cache on `spin_line`
+  /// has no self-generated future event — it reacts only to an invalidation
+  /// of its cached copy (on_spin_invalidated) or a timer, both of which the
+  /// simulator tracks.  Every shipped scheme satisfies this; a scheme whose
+  /// spinners poll on their own clock must return false so the DES core
+  /// ticks them every cycle instead of settling them lazily.
   [[nodiscard]] virtual bool spinner_skippable(std::uint32_t /*proc*/,
                                                std::uint32_t /*spin_line*/) const {
     return true;

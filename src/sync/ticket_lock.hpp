@@ -33,7 +33,7 @@ class TicketLock final : public LockScheme {
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
   /// Now-serving spinners wake only via the releaser's invalidation, so the
-  /// quiescence fast-forward may skip over them.
+  /// DES core may settle them lazily.
   [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
                                        std::uint32_t /*spin_line*/) const override {
     return true;

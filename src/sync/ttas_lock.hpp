@@ -36,7 +36,7 @@ class TtasLock final : public LockScheme {
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
   /// Spinners read their own Shared copy and wake only via invalidation, so
-  /// the quiescence fast-forward may skip over them.
+  /// the DES core may settle them lazily.
   [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
                                        std::uint32_t /*spin_line*/) const override {
     return true;

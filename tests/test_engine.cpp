@@ -1,0 +1,205 @@
+// Differential test for the execution engines: the discrete-event core and
+// the per-cycle tick loop that is its oracle must produce byte-identical
+// SimulationResults for every lock scheme, consistency model, and write
+// policy — and so must the DES core with the invariant checker attached.
+// Every field — including RunningStat moments, which would expose a single
+// reordered or double-counted sample — is rendered with hexfloat precision
+// (fuzz::render_result, shared with the fuzzing harness) and compared as a
+// string so nothing is hidden by rounding.
+//
+// Also covers the engine-selection surface: the --engine/SYNCPAT_ENGINE
+// override and strict rejection of malformed values.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
+#include "bus/interface.hpp"
+#include "core/invariant_checker.hpp"
+#include "core/machine_config.hpp"
+#include "core/results.hpp"
+#include "core/simulator.hpp"
+#include "fuzz/render.hpp"
+#include "sync/scheme_factory.hpp"
+#include "trace/source.hpp"
+#include "workload/generator.hpp"
+#include "workload/profiles.hpp"
+
+namespace syncpat {
+namespace {
+
+constexpr std::uint64_t kScale = 64;
+
+workload::BenchmarkProfile profile_by_name(const std::string& name) {
+  for (const auto& p : workload::paper_profiles()) {
+    if (p.name == name) return p;
+  }
+  ADD_FAILURE() << "unknown profile " << name;
+  return {};
+}
+
+struct RunOutput {
+  std::string rendered;
+  core::DesStats des;
+  core::EngineKind engine = core::EngineKind::kDes;
+  std::uint64_t checks = 0;      // invariant checker, when enabled
+  std::uint64_t violations = 0;
+};
+
+RunOutput run_once(const workload::BenchmarkProfile& scaled,
+                   core::MachineConfig cfg, core::EngineKind engine) {
+  cfg.num_procs = scaled.num_procs;
+  cfg.engine = engine;
+  trace::ProgramTrace program = workload::make_program_trace(scaled);
+  core::Simulator sim(cfg, program);
+  RunOutput out;
+  out.rendered = fuzz::render_result(sim.run());
+  out.des = sim.des_stats();
+  out.engine = sim.engine();
+  if (const core::InvariantChecker* checker = sim.invariant_checker()) {
+    out.checks = checker->checks();
+    out.violations = checker->violation_count();
+  }
+  return out;
+}
+
+class EngineDifferential : public ::testing::Test {
+ protected:
+  // The config field must control the engine: a value inherited from the
+  // calling environment would override it for every run.
+  void SetUp() override { unsetenv("SYNCPAT_ENGINE"); }
+};
+
+// The engine matrix: every lock scheme x 2 consistency models x 2 write
+// policies, each run three ways — DES, per-cycle tick, and DES with the
+// invariant checker attached.  The checked arm proves the checker is a
+// non-perturbing observer of the production engine with nothing to report.
+TEST_F(EngineDifferential, ByteIdenticalAcrossSchemesModelsAndPolicies) {
+  const workload::BenchmarkProfile scaled =
+      profile_by_name("Grav").scaled(kScale);
+  std::uint64_t total_spans = 0;
+  for (const sync::SchemeKind scheme : sync::all_scheme_kinds()) {
+    for (const bus::ConsistencyModel model :
+         {bus::ConsistencyModel::kSequential, bus::ConsistencyModel::kWeak}) {
+      for (const cache::WritePolicy policy :
+           {cache::WritePolicy::kWriteBack, cache::WritePolicy::kWriteThrough}) {
+        core::MachineConfig cfg;
+        cfg.lock_scheme = scheme;
+        cfg.consistency = model;
+        cfg.write_policy = policy;
+        const std::string label =
+            std::string("scheme=") + sync::scheme_kind_name(scheme) +
+            " model=" + bus::consistency_name(model) +
+            " policy=" + cache::write_policy_name(policy);
+        const RunOutput des = run_once(scaled, cfg, core::EngineKind::kDes);
+        const RunOutput tick = run_once(scaled, cfg, core::EngineKind::kTick);
+        // Every event cycle still gets the per-cycle checks; a sparse full
+        // MESI sweep keeps this arm near the cost of a plain run (the
+        // default period is exercised by Invariants.* and the fuzzer).
+        core::MachineConfig checked_cfg = cfg;
+        checked_cfg.invariants.enabled = true;
+        checked_cfg.invariants.mesi_sweep_period = 4096;
+        const RunOutput checked =
+            run_once(scaled, checked_cfg, core::EngineKind::kDes);
+        EXPECT_TRUE(des.des.enabled);
+        EXPECT_FALSE(tick.des.enabled);
+        EXPECT_TRUE(checked.des.enabled);
+        EXPECT_EQ(des.rendered, tick.rendered)
+            << "DES diverged from per-cycle ticking: " << label;
+        EXPECT_EQ(checked.rendered, tick.rendered)
+            << "the invariant checker perturbed DES: " << label;
+        EXPECT_GT(checked.checks, 0u) << label;
+        EXPECT_EQ(checked.violations, 0u) << label;
+        total_spans += des.des.spans;
+      }
+    }
+  }
+  // DES must actually skip cycles somewhere, or this test proves nothing
+  // about its bulk-advance path.
+  EXPECT_GT(total_spans, 0u);
+}
+
+TEST_F(EngineDifferential, DesSkipsMostCyclesOnCoarseGrainedWork) {
+  // Long compute gaps between references: the event queue should jump the
+  // gaps and make stepped cycles a small minority.
+  workload::BenchmarkProfile coarse = profile_by_name("Grav");
+  coarse.work_cycles_per_ref = 400;
+  coarse.name = "Grav-coarse";
+  const workload::BenchmarkProfile scaled = coarse.scaled(kScale * 4);
+  core::MachineConfig cfg;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+  const RunOutput des = run_once(scaled, cfg, core::EngineKind::kDes);
+  EXPECT_TRUE(des.des.enabled);
+  EXPECT_GT(des.des.spans, 0u);
+  EXPECT_GT(des.des.span_cycles, des.des.stepped_cycles)
+      << "the event queue should make stepped cycles the minority";
+}
+
+// The checker runs on whichever engine is configured: on DES it checks at
+// every event cycle, the only cycles where the state it reads can change.
+TEST_F(EngineDifferential, InvariantCheckerKeepsConfiguredEngine) {
+  const workload::BenchmarkProfile scaled =
+      profile_by_name("Pverify").scaled(kScale * 4);
+  core::MachineConfig cfg;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+  cfg.invariants.enabled = true;
+  for (const core::EngineKind engine :
+       {core::EngineKind::kDes, core::EngineKind::kTick}) {
+    const RunOutput checked = run_once(scaled, cfg, engine);
+    EXPECT_EQ(checked.engine, engine) << core::engine_name(engine);
+    EXPECT_EQ(checked.des.enabled, engine == core::EngineKind::kDes)
+        << core::engine_name(engine);
+    EXPECT_GT(checked.checks, 0u) << core::engine_name(engine);
+    EXPECT_EQ(checked.violations, 0u) << core::engine_name(engine);
+  }
+}
+
+TEST_F(EngineDifferential, EngineEnvOverridesConfig) {
+  const workload::BenchmarkProfile scaled =
+      profile_by_name("Pverify").scaled(kScale * 4);
+  core::MachineConfig cfg;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+
+  setenv("SYNCPAT_ENGINE", "tick", 1);
+  const RunOutput forced_tick = run_once(scaled, cfg, core::EngineKind::kDes);
+  EXPECT_EQ(forced_tick.engine, core::EngineKind::kTick);
+  EXPECT_FALSE(forced_tick.des.enabled);
+
+  setenv("SYNCPAT_ENGINE", "des", 1);
+  const RunOutput forced_des = run_once(scaled, cfg, core::EngineKind::kTick);
+  EXPECT_EQ(forced_des.engine, core::EngineKind::kDes);
+  EXPECT_TRUE(forced_des.des.enabled);
+
+  unsetenv("SYNCPAT_ENGINE");
+  EXPECT_EQ(forced_tick.rendered, forced_des.rendered);
+}
+
+// A malformed SYNCPAT_ENGINE value is a configuration error, never silently
+// ignored.
+TEST_F(EngineDifferential, MalformedEnvValuesAreRejected) {
+  using core::EngineKind;
+  using core::resolve_engine;
+  for (const char* junk : {"fast", "DES", "", "0", "1", "tick "}) {
+    EXPECT_THROW((void)resolve_engine(EngineKind::kDes, junk),
+                 std::invalid_argument)
+        << '"' << junk << '"';
+  }
+}
+
+TEST_F(EngineDifferential, ResolveEngineAliasingTable) {
+  using core::EngineKind;
+  using core::resolve_engine;
+
+  // No environment: the config decides.
+  EXPECT_EQ(resolve_engine(EngineKind::kDes, nullptr), EngineKind::kDes);
+  EXPECT_EQ(resolve_engine(EngineKind::kTick, nullptr), EngineKind::kTick);
+
+  // SYNCPAT_ENGINE set: it wins over the config either way.
+  EXPECT_EQ(resolve_engine(EngineKind::kDes, "tick"), EngineKind::kTick);
+  EXPECT_EQ(resolve_engine(EngineKind::kTick, "des"), EngineKind::kDes);
+  EXPECT_EQ(resolve_engine(EngineKind::kDes, "des"), EngineKind::kDes);
+}
+
+}  // namespace
+}  // namespace syncpat

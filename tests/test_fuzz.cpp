@@ -16,6 +16,7 @@
 #include "fuzz/harness.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/shrink.hpp"
+#include "test_util.hpp"
 
 namespace syncpat::fuzz {
 namespace {
@@ -157,7 +158,7 @@ TEST(FuzzHarness, ReportIsByteIdenticalAcrossRuns) {
   HarnessOptions opt;
   opt.seed = 0x1de7;
   opt.cases = 30;
-  opt.repro_dir = ::testing::TempDir();
+  opt.repro_dir = testutil::test_temp_dir();
   opt.injected_oracle = synthetic_oracle;
   std::ostringstream a, b;
   const HarnessReport ra = run_fuzz(opt, a);
@@ -170,7 +171,7 @@ TEST(FuzzHarness, WritesReproThatReplaysToSameVerdict) {
   HarnessOptions opt;
   opt.seed = 0xfa11;
   opt.cases = 10;
-  opt.repro_dir = ::testing::TempDir();
+  opt.repro_dir = testutil::test_temp_dir();
   opt.injected_oracle = synthetic_oracle;
 
   std::ostringstream report_out;
@@ -195,7 +196,7 @@ TEST(FuzzHarness, WritesReproThatReplaysToSameVerdict) {
     c.num_procs = 1;
     return c;
   }();
-  const std::string clean_path = ::testing::TempDir() + "/fuzz_clean.case";
+  const std::string clean_path = opt.repro_dir + "/fuzz_clean.case";
   std::ofstream(clean_path) << clean.to_text();
   std::ostringstream pass_out;
   EXPECT_EQ(replay_repro(clean_path, opt, pass_out), 0);
@@ -215,9 +216,9 @@ TEST(FuzzHarness, ReplayThrowsOnMissingFile) {
 // suite so `ctest -R Fuzz` exercises the real pipeline too.)
 class FuzzRealOracles : public ::testing::Test {
  protected:
-  // cfg.fast_forward drives the differential; an inherited env override
-  // would collapse both arms to the same mode.
-  void SetUp() override { unsetenv("SYNCPAT_FAST_FORWARD"); }
+  // cfg.engine drives the engine differential; an inherited env override
+  // would collapse both arms to the same engine.
+  void SetUp() override { unsetenv("SYNCPAT_ENGINE"); }
 };
 
 TEST_F(FuzzRealOracles, SeededCasesRunClean) {
@@ -248,7 +249,6 @@ TEST_F(FuzzRealOracles, WriteThroughEndOfTraceCycleIsConserved) {
   c.lock_pairs = 5;
   OracleOptions only_conservation;
   only_conservation.check_invariants = false;
-  only_conservation.check_fast_forward = false;
   only_conservation.check_jobs = false;
   only_conservation.check_trace_roundtrip = false;
   const OracleVerdict v = run_oracles(c, only_conservation);

@@ -1,10 +1,12 @@
 // Invariant-checker suite: every shipped lock scheme, under both memory
 // models, runs a contended workload with the checker enabled and must show
 // zero violations — then two deliberately-broken in-test schemes prove the
-// checker actually fires (mutual exclusion, FIFO hand-off).
+// checker actually fires (mutual exclusion, FIFO hand-off) on both engines.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -17,6 +19,7 @@
 namespace syncpat {
 namespace {
 
+using testutil::load;
 using testutil::lock_acq;
 using testutil::lock_rel;
 using testutil::store;
@@ -60,8 +63,62 @@ TEST(Invariants, AllSchemesAndModelsRunClean) {
   }
 }
 
+// The DES core runs the per-cycle checks at its event cycles and the
+// periodic sweep for a span that crosses a sweep boundary.  Proc 0 computes
+// for 2000 cycles between its stores: one long span over several 512-cycle
+// boundaries, with no event cycle on any of them.
+TEST(Invariants, DesChecksEventCyclesAndSpans) {
+  const auto checks = [](std::uint32_t sweep_period) {
+    trace::ProgramTrace program = testutil::make_program({
+        {store(testutil::shared_line(1)),
+         store(testutil::shared_line(2), 2000)},
+        {load(testutil::shared_line(1), 5)},
+    });
+    core::MachineConfig config = testutil::machine();
+    config.invariants.enabled = true;
+    config.invariants.mesi_sweep_period = sweep_period;
+    config.num_procs = 2;
+    core::Simulator sim(config, program);
+    EXPECT_EQ(sim.engine(), core::EngineKind::kDes);
+    (void)sim.run();
+    EXPECT_GT(sim.des_stats().span_cycles, 1500u);
+    const core::InvariantChecker& checker = *sim.invariant_checker();
+    EXPECT_TRUE(checker.ok());
+    // What the end-of-run sweep alone counts.
+    core::InvariantChecker final_sweep(config.invariants, false, 2);
+    final_sweep.on_run_end(sim);
+    return std::pair{checker.checks(), final_sweep.checks()};
+  };
+  const auto [unswept, final_sweep_only] = checks(0);
+  EXPECT_GT(unswept, final_sweep_only) << "no checks at DES event cycles";
+  EXPECT_GT(checks(512).first, unswept) << "no sweep for the span";
+}
+
 // --------------------------------------------------------------------------
 // Broken schemes are caught.
+
+/// Runs `streams` with the checker on and `Scheme` swapped in for the
+/// configured one — by hand on the per-cycle step() loop, or through run()
+/// on the DES core — and returns the violations the checker recorded.
+template <typename Scheme>
+std::vector<std::string> run_broken_scheme(
+    std::vector<std::vector<trace::Event>> streams,
+    sync::SchemeKind configured, core::EngineKind engine) {
+  trace::ProgramTrace program = testutil::make_program(std::move(streams));
+  core::MachineConfig config = testutil::machine(configured);
+  config.invariants.enabled = true;
+  config.num_procs = static_cast<std::uint32_t>(program.num_procs());
+  config.engine = engine;
+  core::Simulator sim(config, program);
+  EXPECT_EQ(sim.engine(), engine);
+  sim.set_scheme_for_test(std::make_unique<Scheme>(sim));
+  if (engine == core::EngineKind::kDes) {
+    (void)sim.run();
+  } else {
+    while (!sim.all_done()) sim.step();
+  }
+  return sim.invariant_checker()->violations();
+}
 
 /// Grants every acquire as soon as its bus access completes, ignoring the
 /// lock state entirely — concurrent critical sections on a contended lock.
@@ -102,26 +159,20 @@ TEST(Invariants, CheckerCatchesMutualExclusionViolation) {
   // Long critical sections on one lock from three processors: with every
   // acquire granted immediately, the sections overlap.
   const std::uint32_t data = testutil::shared_line(1);
-  trace::ProgramTrace program = testutil::make_program({
-      {lock_acq(0, 1), store(data, 200), lock_rel(0, 1)},
-      {lock_acq(0, 5), store(data, 200), lock_rel(0, 1)},
-      {lock_acq(0, 9), store(data, 200), lock_rel(0, 1)},
-  });
-
-  core::MachineConfig config = testutil::machine(sync::SchemeKind::kTtas);
-  config.invariants.enabled = true;
-  config.num_procs = 3;
-  core::Simulator sim(config, program);
-  sim.set_scheme_for_test(std::make_unique<NoMutexScheme>(sim));
-  while (!sim.all_done()) sim.step();
-
-  const core::InvariantChecker* checker = sim.invariant_checker();
-  ASSERT_NE(checker, nullptr);
-  EXPECT_GT(checker->violation_count(), 0u);
-  ASSERT_FALSE(checker->violations().empty());
-  EXPECT_NE(checker->violations()[0].find("mutual exclusion"),
-            std::string::npos)
-      << checker->violations()[0];
+  for (const core::EngineKind engine :
+       {core::EngineKind::kTick, core::EngineKind::kDes}) {
+    const std::vector<std::string> violations =
+        run_broken_scheme<NoMutexScheme>(
+            {
+                {lock_acq(0, 1), store(data, 200), lock_rel(0, 1)},
+                {lock_acq(0, 5), store(data, 200), lock_rel(0, 1)},
+                {lock_acq(0, 9), store(data, 200), lock_rel(0, 1)},
+            },
+            sync::SchemeKind::kTtas, engine);
+    ASSERT_FALSE(violations.empty()) << core::engine_name(engine);
+    EXPECT_NE(violations[0].find("mutual exclusion"), std::string::npos)
+        << core::engine_name(engine) << ": " << violations[0];
+  }
 }
 
 /// A mutually-exclusive lock that grants waiters in LIFO order — legal for a
@@ -183,28 +234,23 @@ TEST(Invariants, CheckerCatchesFifoHandoffViolation) {
   // order; the LIFO scheme then grants proc 2 first.  The machine config
   // claims the queuing scheme, so the checker enforces FIFO hand-off.
   const std::uint32_t data = testutil::shared_line(1);
-  trace::ProgramTrace program = testutil::make_program({
-      {lock_acq(0, 1), store(data, 400), lock_rel(0, 1)},
-      {lock_acq(0, 30), store(data, 10), lock_rel(0, 1)},
-      {lock_acq(0, 90), store(data, 10), lock_rel(0, 1)},
-  });
-
-  core::MachineConfig config = testutil::machine(sync::SchemeKind::kQueuing);
-  config.invariants.enabled = true;
-  config.num_procs = 3;
-  core::Simulator sim(config, program);
-  sim.set_scheme_for_test(std::make_unique<LifoScheme>(sim));
-  while (!sim.all_done()) sim.step();
-
-  const core::InvariantChecker* checker = sim.invariant_checker();
-  ASSERT_NE(checker, nullptr);
-  EXPECT_GT(checker->violation_count(), 0u);
-  bool found_fifo = false;
-  for (const std::string& v : checker->violations()) {
-    if (v.find("FIFO") != std::string::npos) found_fifo = true;
+  for (const core::EngineKind engine :
+       {core::EngineKind::kTick, core::EngineKind::kDes}) {
+    const std::vector<std::string> violations = run_broken_scheme<LifoScheme>(
+        {
+            {lock_acq(0, 1), store(data, 400), lock_rel(0, 1)},
+            {lock_acq(0, 30), store(data, 10), lock_rel(0, 1)},
+            {lock_acq(0, 90), store(data, 10), lock_rel(0, 1)},
+        },
+        sync::SchemeKind::kQueuing, engine);
+    bool found_fifo = false;
+    for (const std::string& v : violations) {
+      if (v.find("FIFO") != std::string::npos) found_fifo = true;
+    }
+    EXPECT_TRUE(found_fifo) << core::engine_name(engine)
+                            << ": no FIFO violation among "
+                            << violations.size() << " recorded";
   }
-  EXPECT_TRUE(found_fifo) << "no FIFO violation among "
-                          << checker->violations().size() << " recorded";
 }
 
 // The checker is off by default and costs nothing.

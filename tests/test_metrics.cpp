@@ -2,7 +2,7 @@
 // simulated cycle charged to exactly one category, ledger == completion
 // cycle), per-lock contention histograms conserved against LockStats, the
 // windowed bus gauge conserved against the bus's own busy counter, and
-// byte-identical exports across fast-forward modes and engine job counts.
+// byte-identical exports across execution engines and engine job counts.
 //
 // Every suite here is named Metrics* so the TSan recipe can select the whole
 // layer with --gtest_filter=':Metrics*'.
@@ -63,18 +63,17 @@ std::uint64_t total_of(const obs::MetricsRegistry& m, StallCat cat) {
 
 class MetricsConservation : public ::testing::Test {
  protected:
-  // cfg.engine / cfg.fast_forward must control the mode (same reasoning as
-  // the engine differential), and SYNCPAT_METRICS must not leak in.
+  // cfg.engine must control the engine (same reasoning as the engine
+  // differential), and SYNCPAT_METRICS must not leak in.
   void SetUp() override {
     unsetenv("SYNCPAT_ENGINE");
-    unsetenv("SYNCPAT_FAST_FORWARD");
     unsetenv("SYNCPAT_METRICS");
   }
 };
 
-// The tentpole invariant across all 28 machine variants, plus export
+// The tentpole invariant across every machine variant, plus export
 // byte-identity between execution engines (metrics must not observe the
-// engine's stepping strategy: DES, per-cycle tick, tick with run-ahead).
+// engine's stepping strategy: DES or per-cycle tick).
 TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Grav").scaled(64);
@@ -87,23 +86,15 @@ TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
             std::string(sync::scheme_kind_name(scheme)) + "/" +
             bus::consistency_name(model) + "/" +
             cache::write_policy_name(policy);
-        struct EngineMode {
-          core::EngineKind engine;
-          bool fast_forward;
-        };
-        constexpr EngineMode kModes[] = {
-            {core::EngineKind::kDes, true},
-            {core::EngineKind::kTick, true},
-            {core::EngineKind::kTick, false},
-        };
-        std::string exports[3];
-        for (std::size_t mode = 0; mode < 3; ++mode) {
+        constexpr core::EngineKind kEngines[] = {core::EngineKind::kDes,
+                                                 core::EngineKind::kTick};
+        std::string exports[2];
+        for (std::size_t mode = 0; mode < 2; ++mode) {
           core::MachineConfig cfg;
           cfg.lock_scheme = scheme;
           cfg.consistency = model;
           cfg.write_policy = policy;
-          cfg.engine = kModes[mode].engine;
-          cfg.fast_forward = kModes[mode].fast_forward;
+          cfg.engine = kEngines[mode];
           cfg.metrics.enabled = true;
           cfg.num_procs = scaled.num_procs;
           trace::ProgramTrace program = workload::make_program_trace(scaled);
@@ -125,10 +116,8 @@ TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
                                       r.num_procs, r.run_time};
           exports[mode] = obs::metrics_to_json(*m, meta);
         }
-        EXPECT_EQ(exports[0], exports[2])
+        EXPECT_EQ(exports[0], exports[1])
             << what << ": metrics JSON differs between DES and per-cycle tick";
-        EXPECT_EQ(exports[1], exports[2])
-            << what << ": metrics JSON differs between fast-forward modes";
       }
     }
   }
@@ -347,7 +336,7 @@ TEST(MetricsSelfProfile, AttachingNeverChangesTheSimulation) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Qsort").scaled(256);
   // Both engines: the profiler observes the host, never the simulation, and
-  // each engine's time lands in its own phase bucket.
+  // either engine's loop lands in the one event-loop bucket.
   for (const core::EngineKind engine :
        {core::EngineKind::kDes, core::EngineKind::kTick}) {
     core::MachineConfig cfg;
@@ -367,11 +356,10 @@ TEST(MetricsSelfProfile, AttachingNeverChangesTheSimulation) {
     EXPECT_EQ(plain_rendered, profiled_rendered)
         << core::engine_name(engine);
     const obs::SelfProfiler::Snapshot snap = profiler.snapshot();
-    const auto phase = engine == core::EngineKind::kDes
-                           ? obs::SelfProfiler::Phase::kEventLoop
-                           : obs::SelfProfiler::Phase::kDenseTick;
-    EXPECT_GT(snap.calls[static_cast<std::size_t>(phase)], 0u)
-        << core::engine_name(engine);
+    const auto loop =
+        static_cast<std::size_t>(obs::SelfProfiler::Phase::kEventLoop);
+    EXPECT_EQ(snap.calls[loop], 1u) << core::engine_name(engine);
+    EXPECT_GT(snap.ns[loop], 0) << core::engine_name(engine);
     EXPECT_FALSE(profiler.to_string().empty());
   }
 }

@@ -1,8 +1,8 @@
 // Tests for the cycle-stamped event-tracing subsystem (src/obs/): recorder
 // staging/draining, category parsing, Chrome trace-event JSON validity, the
 // hand-off == Transfers accounting contract, byte-identical results with
-// tracing off vs on, identical traces across engine job counts, and bulk
-// idle spans from the fast-forward engine.
+// tracing off vs on, and identical traces across execution engines and
+// engine job counts.
 //
 // Suite names all start with "Trace" so `--gtest_filter='Trace*'` (the TSan
 // recipe in EXPERIMENTS.md) covers the whole layer.
@@ -66,10 +66,10 @@ TEST(TraceRecorder, DeliversEventsInOrderThroughATinyRing) {
 
 TEST(TraceRecorder, CategoryMaskFiltersWants) {
   obs::TraceConfig config;
-  config.categories = obs::category::kLocks | obs::category::kIdle;
+  config.categories = obs::category::kLocks | obs::category::kBarriers;
   obs::EventRecorder recorder(config);
   EXPECT_TRUE(recorder.wants(obs::category::kLocks));
-  EXPECT_TRUE(recorder.wants(obs::category::kIdle));
+  EXPECT_TRUE(recorder.wants(obs::category::kBarriers));
   EXPECT_FALSE(recorder.wants(obs::category::kBus));
   EXPECT_FALSE(recorder.wants(obs::category::kCoherence));
 }
@@ -81,6 +81,9 @@ TEST(TraceCategories, ParseAndRender) {
                 obs::category::kCoherence);
   EXPECT_EQ(obs::parse_categories("all"), obs::category::kAll);
   EXPECT_THROW(static_cast<void>(obs::parse_categories("nope")),
+               std::invalid_argument);
+  // No engine emits idle spans, so there is no idle category to ask for.
+  EXPECT_THROW(static_cast<void>(obs::parse_categories("locks,idle")),
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(obs::parse_categories("")),
                std::invalid_argument);
@@ -243,20 +246,12 @@ TEST(TraceChrome, HandoffCountEqualsTransfersColumn) {
 }
 
 // The DES core ticks only event cycles but emits the exact per-cycle event
-// stream (it never substitutes bulk idle-span records), so the exported
-// trace bytes must match per-cycle ticking exactly.
+// stream, so the exported trace bytes must match per-cycle ticking exactly.
 TEST(TraceEngine, TraceBytesIdenticalAcrossExecutionEngines) {
-  core::MachineConfig tick;
-  tick.lock_scheme = sync::SchemeKind::kQueuing;
-  tick.trace.enabled = true;
-  tick.engine = core::EngineKind::kTick;
-  tick.fast_forward = false;  // run-ahead would legitimately emit idle spans
   const core::ExperimentOutcome per_cycle =
-      core::run_experiment(tick, workload::qsort_profile(), 128);
-
+      traced_qsort(obs::category::kAll, core::EngineKind::kTick);
   const core::ExperimentOutcome des = traced_qsort(obs::category::kAll);
   ASSERT_FALSE(des.trace_json.empty());
-  EXPECT_EQ(count_occurrences(des.trace_json, "\"name\":\"quiescent\""), 0u);
   EXPECT_EQ(des.trace_json, per_cycle.trace_json);
 }
 
@@ -346,46 +341,6 @@ TEST(TraceTimeline, ReportTableCoversEveryPhase) {
   EXPECT_NE(text.str().find("all"), std::string::npos);
   EXPECT_NE(text.str().find("1/4"), std::string::npos);
   EXPECT_NE(text.str().find("4/4"), std::string::npos);
-}
-
-// A fast-forwarded quiescent stretch must appear as one bulk idle-span
-// event, not thousands of per-cycle records (and not be silently lost).
-TEST(TraceFastForward, SkippedStretchesEmitBulkIdleSpans) {
-  workload::BenchmarkProfile coarse = workload::grav_profile();
-  coarse.work_cycles_per_ref = 400;  // long quiet gaps between references
-  coarse.name = "Grav-coarse";
-  const workload::BenchmarkProfile scaled = coarse.scaled(256);
-  trace::ProgramTrace program = workload::make_program_trace(scaled);
-
-  core::MachineConfig config;
-  config.num_procs = scaled.num_procs;
-  config.engine = core::EngineKind::kTick;  // run-ahead is a tick-engine mode
-  config.fast_forward = true;
-  config.trace.enabled = true;
-  core::Simulator sim(config, program);
-  RecordingSink sink;
-  ASSERT_NE(sim.recorder(), nullptr);
-  sim.recorder()->add_sink(&sink);
-  const core::SimulationResult result = sim.run();
-
-  ASSERT_GT(sim.fast_forward_stats().jumps, 0u)
-      << "coarse profile did not engage fast-forward; test premise broken";
-  std::uint64_t spans = 0;
-  std::uint64_t last_cycle = 0;
-  for (const TraceEvent& ev : sink.events) {
-    if (ev.kind == EventKind::kIdleSpan) {
-      // Emitted when the stretch ends but stamped at its start (span
-      // semantics), so it is exempt from the monotonicity check below.
-      ++spans;
-      EXPECT_GT(ev.a, 0u);    // span length
-      EXPECT_LE(ev.b, ev.a);  // executed ticks fit inside the span
-      EXPECT_LE(ev.cycle + ev.a, result.run_time);
-      continue;
-    }
-    EXPECT_GE(ev.cycle, last_cycle) << "events out of simulation order";
-    last_cycle = ev.cycle;
-  }
-  EXPECT_GT(spans, 0u);
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ class ScalingDifferential : public ::testing::Test {
   // from the calling environment would silently override every run.
   void SetUp() override {
     unsetenv("SYNCPAT_ENGINE");
-    unsetenv("SYNCPAT_FAST_FORWARD");
     unsetenv("SYNCPAT_BUS_DISCIPLINE");
     unsetenv("SYNCPAT_MODEL");
   }
@@ -468,7 +467,6 @@ class ReportAtP128 : public ::testing::TestWithParam<core::EngineKind> {
  protected:
   void SetUp() override {
     unsetenv("SYNCPAT_ENGINE");
-    unsetenv("SYNCPAT_FAST_FORWARD");
     unsetenv("SYNCPAT_BUS_DISCIPLINE");
     unsetenv("SYNCPAT_MODEL");
   }

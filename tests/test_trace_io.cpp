@@ -147,7 +147,7 @@ TEST(TraceIo, RejectsInvalidOpcode) {
 
 TEST(TraceIo, FileSaveAndLoad) {
   ProgramTrace program = make_program({{load(0x8000'1000u, 7)}}, "file-test");
-  const std::string path = ::testing::TempDir() + "/syncpat_io_test.trc";
+  const std::string path = testutil::test_temp_dir() + "/syncpat_io_test.trc";
   save_program_trace(path, program);
   ProgramTrace back = load_program_trace(path);
   EXPECT_EQ(back.name, "file-test");

@@ -1,9 +1,13 @@
 // Shared helpers for the syncpat test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -68,6 +72,24 @@ inline core::MachineConfig machine(
 /// apart (never in the same 16-byte line).
 inline std::uint32_t shared_line(std::uint32_t i) {
   return trace::AddressMap::shared_addr(i * 64);
+}
+
+/// A directory owned by the running test, "<TempDir>/<suite>.<test>",
+/// created on first use.  ctest runs tests in parallel, so a fixed file name
+/// directly under ::testing::TempDir() is shared by every test that writes
+/// it; all test files go through here instead (the no-shared-tempdir ctest
+/// rejects direct TempDir() calls in tests/*.cpp).
+inline std::string test_temp_dir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized suites and tests
+  }
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 }  // namespace syncpat::testutil
