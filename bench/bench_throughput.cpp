@@ -169,11 +169,12 @@ void emit_json(std::ostream& out, std::uint64_t scale, std::uint32_t reps,
 }
 
 /// Metrics-layer overhead guard: Grav/sequential with the registry off vs on.
-/// The off side is the product default — its cost relative to the pre-PR
-/// binary is the "disabled path is one branch per site" claim (compare
-/// BENCH_simulator.json across commits); the on side has a 25% tripwire so
-/// the enabled path can't quietly grow a hot-loop regression.  Either way the
-/// simulation itself must not change: run_cycles are asserted equal.
+/// The off side is the product default (the stall ledger and lock records
+/// are always on; compare BENCH_simulator.json across commits); the on side
+/// adds the bus gauge and the end-of-run export snapshot, with a 25%
+/// tripwire so the enabled path can't quietly grow a hot-loop regression.
+/// Either way the simulation itself must not change: run_cycles are asserted
+/// equal.
 double bench_metrics_overhead(std::uint64_t scale, std::uint32_t reps,
                               std::ostream& out) {
   workload::BenchmarkProfile profile;

@@ -117,10 +117,11 @@ struct MachineConfig {
   /// the invariant checker — the simulator holds a null recorder unless this
   /// is enabled, and traced runs produce byte-identical results.
   obs::TraceConfig trace;
-  /// Opt-in deterministic metrics (see obs/metrics.hpp): stall-cause
-  /// attribution, per-lock contention histograms, bus-utilization windows.
-  /// Null-unless-enabled like the checker and recorder; enabled runs are
-  /// byte-identical to disabled ones (fuzz oracle #6 proves it).
+  /// Opt-in metrics registry (see obs/metrics.hpp): bus-utilization
+  /// windows, machine counters, and an end-of-run copy of the always-on
+  /// stall ledgers and per-lock records for export.  Null-unless-enabled
+  /// like the checker and recorder; enabled runs are byte-identical to
+  /// disabled ones (fuzz oracle #7 proves it).
   obs::MetricsConfig metrics;
 
   /// Execution engine (see EngineKind).  Overridable by SYNCPAT_ENGINE

@@ -35,31 +35,20 @@ bool Processor::drain_pending() {
 }
 
 void Processor::count_stall_cycle() {
+  charge(wait_column(), classify_wait_cycle());
+}
+
+std::uint64_t ProcStats::*Processor::wait_column() const {
   switch (state_) {
     case ProcState::kWaitMem:
-      if (wait_cause_ == StallCause::kLockWait) {
-        ++stats_.stall_lock;
-      } else {
-        ++stats_.stall_cache;
-      }
-      break;
+      return cause_column();
     case ProcState::kWaitLock:
     case ProcState::kSpin:
-      ++stats_.stall_lock;
-      break;
+      return &ProcStats::stall_lock;
     case ProcState::kWaitFence:
-      ++stats_.stall_fence;
-      break;
-    case ProcState::kStallStructural:
-      ++stats_.stall_cache;
-      break;
+      return &ProcStats::stall_fence;
     default:
-      return;  // kRunning/kDone: nothing counted, nothing charged
-  }
-  if (mx_ != nullptr) {
-    const obs::StallCat cat = classify_wait_cycle();
-    mx_->attr.charge(cat);
-    resume_cat_ = cat;
+      return &ProcStats::stall_cache;  // kStallStructural
   }
 }
 
@@ -113,10 +102,6 @@ obs::StallCat Processor::classify_wait_cycle() const {
   }
 }
 
-void Processor::note_wait_entered() {
-  if (mx_ != nullptr) resume_cat_ = classify_wait_cycle();
-}
-
 void Processor::tick() {
   ticked_cycle_ = sim_.now();
   if (state_ == ProcState::kDone) {
@@ -128,11 +113,7 @@ void Processor::tick() {
   switch (state_) {
     case ProcState::kRunning:
       if (gap_left_ > 0) {
-        ++stats_.work_cycles;
-        if (mx_ != nullptr) {
-          mx_->attr.charge(obs::StallCat::kCompute);
-          resume_cat_ = obs::StallCat::kCompute;
-        }
+        charge(&ProcStats::work_cycles, obs::StallCat::kCompute);
         --gap_left_;
         if (gap_left_ > 0) return;
         issue_loop();
@@ -141,9 +122,8 @@ void Processor::tick() {
       // Resume/retry cycle (a wake-up re-issuing the current reference or a
       // zero-gap event after a miss): no work executes this cycle, so it is
       // accounted as a stall — every live cycle is work or stall.  The
-      // attribution charges it to the wait that caused the resume.
-      ++stats_.stall_cache;
-      if (mx_ != nullptr) mx_->attr.charge(resume_cat_);
+      // ledger charges it to the wait that caused the resume.
+      charge(&ProcStats::stall_cache, resume_cat_);
       issue_loop();
       return;
     case ProcState::kStallStructural:
@@ -179,40 +159,18 @@ void Processor::settle(std::uint64_t cycles, std::uint64_t through_cycle) {
       // Mirrors tick()'s gap countdown; the issuing tick itself always runs
       // live (the DES core schedules it as this processor's due event).
       SYNCPAT_ASSERT(gap_left_ > cycles);
-      stats_.work_cycles += cycles;
+      charge(&ProcStats::work_cycles, obs::StallCat::kCompute, cycles);
       gap_left_ -= static_cast<std::uint32_t>(cycles);
-      if (mx_ != nullptr) {
-        mx_->attr.charge(obs::StallCat::kCompute, cycles);
-        resume_cat_ = obs::StallCat::kCompute;
-      }
       break;
-    case ProcState::kWaitMem: {
+    case ProcState::kWaitMem:
+    case ProcState::kSpin:
+    case ProcState::kWaitLock:
       // Mirrors count_stall_cycle(): the wait's classification is frozen
       // between machine events (the simulator settles before every phase
       // change of wait_txn_, and the one un-touched transition — memory
       // service to memory output — maps to the same category).
-      if (wait_cause_ == StallCause::kLockWait) {
-        stats_.stall_lock += cycles;
-      } else {
-        stats_.stall_cache += cycles;
-      }
-      if (mx_ != nullptr) {
-        const obs::StallCat cat = classify_wait_cycle();
-        mx_->attr.charge(cat, cycles);
-        resume_cat_ = cat;
-      }
+      charge(wait_column(), classify_wait_cycle(), cycles);
       break;
-    }
-    case ProcState::kSpin:
-    case ProcState::kWaitLock: {
-      stats_.stall_lock += cycles;
-      if (mx_ != nullptr) {
-        const obs::StallCat cat = classify_wait_cycle();
-        mx_->attr.charge(cat, cycles);
-        resume_cat_ = cat;
-      }
-      break;
-    }
     case ProcState::kDone:
       SYNCPAT_ASSERT(pending_.empty());
       break;
@@ -262,12 +220,7 @@ void Processor::advance_after_event() {
       // trace just ended, so that tick will see kDone and count nothing —
       // attribute the final waited cycle here to keep the identity
       // work + stalls == completion_cycle exact.
-      if (wait_cause_ == bus::StallCause::kLockWait) {
-        ++stats_.stall_lock;
-      } else {
-        ++stats_.stall_cache;
-      }
-      if (mx_ != nullptr) mx_->attr.charge(resume_cat_);
+      charge(cause_column(), resume_cat_);
     }
     gap_left_ = 0;
     return;
@@ -423,11 +376,9 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
       is_write ? TxnKind::kReadX : TxnKind::kRead, line,
       static_cast<std::int32_t>(id_),
       stalls ? StallCause::kCacheMiss : StallCause::kNone, /*fills_line=*/true);
-  // Metrics: a fetch of a line a remote processor invalidated away from us
-  // is a coherence refill (the invalidation marker is consumed here).
-  if (mx_ != nullptr && mx_->invalidated_lines.erase(line) > 0) {
-    txn->coherence_refill = true;
-  }
+  // A fetch of a line a remote processor invalidated away from us is a
+  // coherence refill (the lost-line marker is consumed here).
+  if (lost_lines_.erase(line) > 0) txn->coherence_refill = true;
   pending_.push_back(txn);
   if (stalls) {
     txn->requester_waiting = true;

@@ -19,11 +19,13 @@
 // Stall cycles are attributed per cycle to "cache miss" or "lock wait"
 // exactly as the paper's Tables 3/5 split them: waiting for a lock held by
 // another processor is lock wait; a lock operation's own uncontended memory
-// access is an ordinary cache-miss stall.
+// access is an ordinary cache-miss stall.  The same charge also books the
+// cycle in the 10-category stall ledger (obs/stall_attribution.hpp).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <unordered_set>
 
 #include "bus/interface.hpp"
 #include "bus/transaction.hpp"
@@ -54,6 +56,9 @@ struct ProcStats {
   std::uint64_t syncs = 0;
   std::uint64_t syncs_with_pending = 0;  // fence found unfinished accesses
   std::uint64_t merged_writes = 0;       // stores coalesced into in-flight fills
+  /// Where the work + stall cycles went, by machine-level cause; charged
+  /// with the columns above, so it sums to completion_cycle.
+  obs::ProcAttribution ledger;
 
   [[nodiscard]] std::uint64_t total_stalls() const {
     return stall_cache + stall_lock + stall_fence;
@@ -78,10 +83,9 @@ class Processor {
   [[nodiscard]] ProcState state() const { return state_; }
   [[nodiscard]] const ProcStats& stats() const { return stats_; }
 
-  /// Attaches the per-processor metrics slot (null = metrics disabled).
-  /// Every ProcStats increment is mirrored one-for-one into the attribution
-  /// ledger, so sum(categories) == completion_cycle exactly (oracle #6).
-  void set_metrics(obs::ProcMetrics* mx) { mx_ = mx; }
+  /// A remote snoop invalidated `line` in this processor's cache: its next
+  /// miss on the line is booked as an invalidation refill.
+  void note_line_lost(std::uint32_t line) { lost_lines_.insert(line); }
 
   // --- simulator/scheme entry points -------------------------------------
 
@@ -129,8 +133,7 @@ class Processor {
   ///   * kStallStructural / kWaitFence: 1 — these re-examine machine state
   ///     every tick and are never settled lazily;
   ///   * kWaitMem / kWaitLock / kSpin / kDone: kNever — pure stall counting
-  ///     (or nothing) until an external event arrives.  The caller applies
-  ///     the scheme's spinner veto on top for kSpin.
+  ///     (or nothing) until an external event arrives.
   /// Inline: the DES core calls this for every processor it re-schedules.
   [[nodiscard]] std::uint64_t next_due_delta() const {
     if (!pending_.empty()) return 1;
@@ -178,14 +181,28 @@ class Processor {
   bool drain_pending();
   void count_stall_cycle();
 
-  /// Metrics: which StallCat the current wait state's cycles belong to.
-  /// Only called with mx_ attached and state_ a wait state.
+  /// Books `n` cycles once: the paper column and the ledger category.
+  void charge(std::uint64_t ProcStats::*column, obs::StallCat cat,
+              std::uint64_t n = 1) {
+    stats_.*column += n;
+    stats_.ledger.charge(cat, n);
+    resume_cat_ = cat;
+  }
+  /// The paper column a stall cycle counts in, by the cause of the wait.
+  [[nodiscard]] std::uint64_t ProcStats::*cause_column() const {
+    return wait_cause_ == bus::StallCause::kLockWait ? &ProcStats::stall_lock
+                                                     : &ProcStats::stall_cache;
+  }
+  /// The paper column of the current wait state's cycles.
+  [[nodiscard]] std::uint64_t ProcStats::*wait_column() const;
+  /// The ledger category of the current wait state's cycles.  Only called
+  /// with state_ a wait state.
   [[nodiscard]] obs::StallCat classify_wait_cycle() const;
-  /// Metrics: primes resume_cat_ at every wait-state entry, so a wake that
-  /// arrives before this processor ever counted a stall cycle (e.g. a timer
-  /// firing in the next cycle's pre-tick phases) still resumes with the
-  /// right category.
-  void note_wait_entered();
+  /// Primes resume_cat_ at every wait-state entry, so a wake that arrives
+  /// before this processor ever counted a stall cycle (e.g. a timer firing
+  /// in the next cycle's pre-tick phases) still resumes with the right
+  /// category.
+  void note_wait_entered() { resume_cat_ = classify_wait_cycle(); }
 
   std::uint32_t id_;
   trace::TraceSource& source_;
@@ -207,13 +224,14 @@ class Processor {
 
   ProcStats stats_;
 
-  // --- metrics (null / inert unless set_metrics attached a slot) ----------
-  obs::ProcMetrics* mx_ = nullptr;
   /// Category charged for a resume/retry cycle (the gap-0 stall tick() books
   /// after a wake) and for the end-of-trace pre-tick-wake cycle: the cause of
-  /// the wait just left.
+  /// the wait just left (the last category charged, or the wait entered).
   obs::StallCat resume_cat_ = obs::StallCat::kCompute;
   bool wait_is_barrier_ = false;  // current kWaitLock parks a barrier arrival
+  /// Lines snooped away from this cache and not missed on since; the next
+  /// miss on one is a coherence refill and consumes the marker.
+  std::unordered_set<std::uint32_t> lost_lines_;
 };
 
 }  // namespace syncpat::core

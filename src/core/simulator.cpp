@@ -65,8 +65,7 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
         cfg_.invariants, is_fifo_scheme(cfg_.lock_scheme), nprocs);
   }
   if (cfg_.metrics.enabled) {
-    metrics_ = std::make_shared<obs::MetricsRegistry>(cfg_.metrics, nprocs);
-    lock_stats_.set_metrics(metrics_.get());
+    metrics_ = std::make_shared<obs::MetricsRegistry>(cfg_.metrics);
   }
   if (cfg_.trace.enabled) {
     recorder_ = std::make_unique<obs::EventRecorder>(cfg_.trace);
@@ -96,7 +95,6 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
   for (std::uint32_t p = 0; p < nprocs; ++p) {
     procs_.push_back(std::make_unique<Processor>(
         p, *program.per_proc[p], *caches_[p], *ifaces_[p], *this));
-    if (metrics_ != nullptr) procs_[p]->set_metrics(&metrics_->proc(p));
   }
 }
 
@@ -145,10 +143,15 @@ SimulationResult Simulator::run() {
 
 void Simulator::finalize_metrics() {
   std::uint64_t run_time = 0;
+  std::vector<obs::ProcAttribution> ledgers;
+  ledgers.reserve(procs_.size());
   for (const auto& p : procs_) {
     run_time = std::max(run_time, p->stats().completion_cycle);
+    ledgers.push_back(p->stats().ledger);
   }
-  metrics_->finalize(run_time);
+  const auto& locks = lock_stats_.per_lock();
+  metrics_->finalize(run_time, std::move(ledgers),
+                     {locks.begin(), locks.end()});
   metrics_->count("bus.busy_cycles", bus_.busy_cycles());
   metrics_->count("bus.total_cycles", bus_.total_cycles());
   metrics_->count("mem.requests_served", memory_.requests_served());
@@ -290,14 +293,14 @@ void Simulator::check_progress() {
 //     other cycle, step() provably reduces to per-cycle bookkeeping.
 //
 //   * That bookkeeping is settled lazily, per processor: a processor whose
-//     tick only counts a stall cycle (kWaitMem / kWaitLock / kSpin with the
-//     scheme's consent) or does nothing (kDone) is parked out of the queue,
-//     and its un-ticked cycles are booked in bulk — in its pre-mutation
-//     state, with tick()'s exact accounting — the moment anything touches it
-//     (des_touch at the top of every mutating service).  The settle boundary
-//     tracks step()'s phase order, so a wake in phases 1-2b still yields the
-//     same phase-3 tick this cycle, and a wake in phases 4-5 books this
-//     cycle's stall exactly as the already-passed phase-3 tick would have.
+//     tick only counts a stall cycle (kWaitMem / kWaitLock / kSpin) or does
+//     nothing (kDone) is parked out of the queue, and its un-ticked cycles
+//     are booked in bulk — in its pre-mutation state, with tick()'s exact
+//     accounting — the moment anything touches it (des_touch at the top of
+//     every mutating service).  The settle boundary tracks step()'s phase
+//     order, so a wake in phases 1-2b still yields the same phase-3 tick
+//     this cycle, and a wake in phases 4-5 books this cycle's stall exactly
+//     as the already-passed phase-3 tick would have.
 //
 // The bus and memory module advance in bulk over the gaps (their per-cycle
 // work between events is pure busy/total accounting), so utilization
@@ -351,12 +354,7 @@ void Simulator::des_touch(std::uint32_t proc) {
 }
 
 void Simulator::des_reschedule(std::uint32_t proc) {
-  std::uint64_t delta = procs_[proc]->next_due_delta();
-  if (delta == Processor::kNever &&
-      procs_[proc]->state() == ProcState::kSpin &&
-      !scheme_->spinner_skippable(proc, spin_line_[proc])) {
-    delta = 1;  // scheme vetoes lazy settling: tick this spinner every cycle
-  }
+  const std::uint64_t delta = procs_[proc]->next_due_delta();
   if (delta == Processor::kNever) {
     des_due_.cancel(proc);
   } else {
@@ -622,11 +620,9 @@ bool Simulator::try_grant(std::uint32_t port) {
     // write has become a write miss (§4.1) — promote to ReadX.
     if (st != cache::LineState::kShared) {
       effective = TxnKind::kReadX;
-      // Metrics: Invalid means a remote invalidation took the line while
-      // this upgrade sat queued, so the refetch is a coherence refill.
-      if (metrics_ != nullptr && st == cache::LineState::kInvalid) {
-        txn->coherence_refill = true;
-      }
+      // Invalid means a remote invalidation took the line while this upgrade
+      // sat queued, so the refetch is a coherence refill.
+      if (st == cache::LineState::kInvalid) txn->coherence_refill = true;
     }
   }
   const bool may_need_memory = effective == TxnKind::kRead ||
@@ -721,11 +717,7 @@ void Simulator::snoop_others(Transaction* txn) {
 
 void Simulator::notify_invalidation(std::uint32_t proc, std::uint32_t line_addr) {
   des_touch(proc);
-  if (metrics_ != nullptr) {
-    // Remember the loss; the processor's next miss on this line is charged
-    // to invalidation-refill (the marker is consumed there).
-    metrics_->proc(proc).invalidated_lines.insert(line_addr);
-  }
+  procs_[proc]->note_line_lost(line_addr);
   if (spin_line_[proc] == line_addr && line_addr != 0) {
     spin_line_[proc] = 0;
     if (tracing(obs::category::kLocks)) {

@@ -150,7 +150,8 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   /// call recorder()->flush() themselves; run() flushes at the end.
   [[nodiscard]] obs::EventRecorder* recorder() { return recorder_.get(); }
   /// Null unless config().metrics.enabled.  run() finalizes the registry
-  /// (bus-gauge clip + machine counters) before returning.
+  /// (bus-gauge clip, machine counters, and a copy of every processor's
+  /// ledger and every lock record) before returning.
   [[nodiscard]] obs::MetricsRegistry* metrics() { return metrics_.get(); }
   [[nodiscard]] const obs::MetricsRegistry* metrics() const {
     return metrics_.get();
@@ -215,13 +216,13 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   void des_touch(std::uint32_t proc);
   void des_settle(std::uint32_t proc, std::uint64_t through_cycle);
   void des_settle_all(std::uint64_t through_cycle);
-  /// Re-derives a processor's due-queue entry from its current state (with
-  /// the scheme's spinner veto applied on top).
+  /// Re-derives a processor's due-queue entry from its current state.
   void des_reschedule(std::uint32_t proc);
   void des_mark_dirty(std::uint32_t proc);
-  /// Clips the bus gauge at the run's final cycle and stamps the machine
-  /// counters.  Only values identical across engines belong here (the export
-  /// is compared byte-for-byte between them), so des_stats_ stays out.
+  /// Clips the bus gauge at the run's final cycle, copies the processors'
+  /// ledgers and the per-lock records into the registry, and stamps the
+  /// machine counters.  Only values identical across engines belong here (the
+  /// export is compared byte-for-byte between them), so des_stats_ stays out.
   void finalize_metrics();
 
   MachineConfig cfg_;

@@ -15,13 +15,11 @@
 //   #5 conservation      acquires == releases per lock and no lock held at
 //                        end (trace validator), traced hand-off events == the
 //                        Transfers aggregate, per-processor
-//                        work + stalls == completion cycle, and
+//                        work + stalls == completion cycle (and so the stall
+//                        ledger's sum, booked by the same charge calls), and
 //                        run_time == max completion cycle;
-//   #6 metrics           the metrics registry's stall attribution conserves
-//                        every cycle (sum over categories == completion cycle
-//                        per processor), its per-lock histograms agree with
-//                        the LockStats aggregates, and its bus gauge equals
-//                        the bus's own busy counter;
+//   #6 metrics           the metrics registry's windowed bus gauge equals the
+//                        bus's own busy counter;
 //   #7 engine            the reference run — the DES core with the checker,
 //                        lock tracing and metrics attached — and a plain
 //                        per-cycle tick run produce byte-identical

@@ -11,6 +11,8 @@ namespace syncpat::obs {
 
 namespace {
 
+using trace::AddressMap;
+
 // Track (pid) layout: one process per hardware layer so the viewer groups
 // them; sort indices keep the order stable.
 constexpr int kPidProcs = 1;
@@ -27,18 +29,6 @@ std::string json_escape(const std::string& s) {
     out.push_back(c);
   }
   return out;
-}
-
-/// "lock N" for addresses in the lock region, hex otherwise.
-std::string lock_label(std::uint32_t line) {
-  char buf[32];
-  if (trace::AddressMap::classify(line) == trace::Region::kLock &&
-      line < trace::AddressMap::lock_addr(1u << 20)) {
-    std::snprintf(buf, sizeof buf, "lock %u", trace::AddressMap::lock_id(line));
-  } else {
-    std::snprintf(buf, sizeof buf, "0x%08x", line);
-  }
-  return buf;
 }
 
 std::string complete_span(const char* name, const char* cat, int pid,
@@ -109,7 +99,8 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
     case EventKind::kAcquireBegin:
       wait_open_[ev.proc] = ev.cycle;
       locks_seen_.insert(ev.line);
-      std::snprintf(name, sizeof name, "waiters %s", lock_label(ev.line).c_str());
+      std::snprintf(name, sizeof name, "waiters %s",
+                    AddressMap::lock_label(ev.line).c_str());
       append_event(counter_sample(name, "locks", kPidLocks, ev.cycle, "waiters",
                                   ++waiters_live_[ev.line]));
       break;
@@ -117,7 +108,7 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
       locks_seen_.insert(ev.line);
       if (const auto it = wait_open_.find(ev.proc); it != wait_open_.end()) {
         std::snprintf(name, sizeof name, "wait %s",
-                      lock_label(ev.line).c_str());
+                      AddressMap::lock_label(ev.line).c_str());
         std::snprintf(args, sizeof args, "\"line\":\"0x%08x\"", ev.line);
         append_event(complete_span(name, "locks", kPidProcs,
                                    static_cast<std::uint64_t>(ev.proc),
@@ -127,7 +118,7 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
       hold_open_[ev.line] = OpenHold{ev.cycle, ev.proc};
       if (std::uint64_t& w = waiters_live_[ev.line]; w > 0) {
         std::snprintf(name, sizeof name, "waiters %s",
-                      lock_label(ev.line).c_str());
+                      AddressMap::lock_label(ev.line).c_str());
         append_event(
             counter_sample(name, "locks", kPidLocks, ev.cycle, "waiters", --w));
       }
@@ -218,11 +209,11 @@ std::string ChromeTraceSink::finish() const {
                     {kPidBus, "bus"},
                     {kPidMachine, "machine"}};
   for (const auto& p : kProcesses) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"%s %s\"}},\n",
-                  p.pid, label.c_str(), p.suffix);
-    out += buf;
+    // The label is appended directly: it may be a trace-file path of any
+    // length, too long for buf.
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+           std::to_string(p.pid) + ",\"args\":{\"name\":\"" + label + " " +
+           p.suffix + "\"}},\n";
     std::snprintf(buf, sizeof buf,
                   "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":%d,"
                   "\"args\":{\"sort_index\":%d}},\n",
@@ -240,7 +231,7 @@ std::string ChromeTraceSink::finish() const {
     std::snprintf(buf, sizeof buf,
                   "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
                   "\"tid\":%u,\"args\":{\"name\":\"%s\"}},\n",
-                  kPidLocks, line, lock_label(line).c_str());
+                  kPidLocks, line, AddressMap::lock_label(line).c_str());
     out += buf;
   }
   std::snprintf(buf, sizeof buf,

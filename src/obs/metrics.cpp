@@ -127,9 +127,16 @@ double BusWindowGauge::utilization(std::size_t i) const {
 // --------------------------------------------------------------------------
 // MetricsRegistry
 
-MetricsRegistry::MetricsRegistry(const MetricsConfig& config,
-                                 std::uint32_t num_procs)
-    : procs_(num_procs), bus_(config.bus_window_cycles) {}
+MetricsRegistry::MetricsRegistry(const MetricsConfig& config)
+    : bus_(config.bus_window_cycles) {}
+
+void MetricsRegistry::finalize(std::uint64_t run_time,
+                               std::vector<ProcAttribution> ledgers,
+                               std::map<std::uint32_t, sync::LockAggregate> locks) {
+  bus_.finalize(run_time);
+  ledgers_ = std::move(ledgers);
+  locks_ = std::move(locks);
+}
 
 // --------------------------------------------------------------------------
 // Export
@@ -146,17 +153,18 @@ MetricsFormat metrics_format_from_path(const std::string& path) {
 std::string metrics_to_json(const MetricsRegistry& m, const MetricsMeta& meta) {
   std::string out;
   out.reserve(4096);
-  appendf(out,
-          "{\n\"program\":\"%s\",\"scheme\":\"%s\",\"consistency\":\"%s\","
-          "\"num_procs\":%u,\"run_time\":%" PRIu64 ",\n",
-          json_escape(meta.program).c_str(), json_escape(meta.scheme).c_str(),
-          json_escape(meta.consistency).c_str(), meta.num_procs,
+  // Labels are appended directly: a program may be a trace-file path of any
+  // length, too long for appendf's buffer.
+  out += "{\n\"program\":\"" + json_escape(meta.program) + "\",\"scheme\":\"" +
+         json_escape(meta.scheme) + "\",\"consistency\":\"" +
+         json_escape(meta.consistency) + "\",";
+  appendf(out, "\"num_procs\":%u,\"run_time\":%" PRIu64 ",\n", meta.num_procs,
           meta.run_time);
 
   out += "\"stall_attribution\":[\n";
   ProcAttribution totals;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
-    const ProcAttribution& a = m.proc(p).attr;
+    const ProcAttribution& a = m.ledger(p);
     appendf(out, "%s{\"proc\":%u", p == 0 ? "" : ",\n", p);
     for (std::size_t c = 0; c < kNumStallCats; ++c) {
       appendf(out, ",\"%s\":%" PRIu64,
@@ -180,9 +188,9 @@ std::string metrics_to_json(const MetricsRegistry& m, const MetricsMeta& meta) {
             first ? "" : ",\n", line, lm.acquisitions, lm.transfers);
     append_histogram_json(out, lm.waiters_at_acquire);
     out += ",\"hold_cycles\":";
-    append_histogram_json(out, lm.hold_cycles);
+    append_histogram_json(out, lm.hold_hist);
     out += ",\"handoff_cycles\":";
-    append_histogram_json(out, lm.handoff_cycles);
+    append_histogram_json(out, lm.transfer_hist);
     out += "}";
     first = false;
   }
@@ -210,15 +218,15 @@ std::string metrics_to_csv(const MetricsRegistry& m, const MetricsMeta& meta) {
   std::string out;
   out.reserve(4096);
   out += "record,field,value\n";
-  appendf(out, "meta,program,%s\n", csv_escape(meta.program).c_str());
-  appendf(out, "meta,scheme,%s\n", csv_escape(meta.scheme).c_str());
-  appendf(out, "meta,consistency,%s\n", csv_escape(meta.consistency).c_str());
+  out += "meta,program," + csv_escape(meta.program) + "\n";
+  out += "meta,scheme," + csv_escape(meta.scheme) + "\n";
+  out += "meta,consistency," + csv_escape(meta.consistency) + "\n";
   appendf(out, "meta,num_procs,%u\n", meta.num_procs);
   appendf(out, "meta,run_time,%" PRIu64 "\n", meta.run_time);
 
   ProcAttribution totals;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
-    const ProcAttribution& a = m.proc(p).attr;
+    const ProcAttribution& a = m.ledger(p);
     for (std::size_t c = 0; c < kNumStallCats; ++c) {
       appendf(out, "stall.proc%u,%s,%" PRIu64 "\n", p,
               stall_cat_name(static_cast<StallCat>(c)), a.cycles[c]);
@@ -239,8 +247,8 @@ std::string metrics_to_csv(const MetricsRegistry& m, const MetricsMeta& meta) {
     appendf(out, "%s,transfers,%" PRIu64 "\n", record, lm.transfers);
     append_histogram_csv(out, record, "waiters_at_acquire",
                          lm.waiters_at_acquire);
-    append_histogram_csv(out, record, "hold_cycles", lm.hold_cycles);
-    append_histogram_csv(out, record, "handoff_cycles", lm.handoff_cycles);
+    append_histogram_csv(out, record, "hold_cycles", lm.hold_hist);
+    append_histogram_csv(out, record, "handoff_cycles", lm.transfer_hist);
   }
 
   const BusWindowGauge& bus = m.bus();

@@ -1,9 +1,12 @@
-// MetricsRegistry: the deterministic metrics layer (counters, gauges and
-// cycle-bucketed histograms), null-unless-enabled like the invariant checker
-// and the EventRecorder — the Simulator holds no registry at all when
-// MetricsConfig.enabled is false, so the disabled path costs one branch per
-// instrumentation site and metrics-enabled runs are byte-identical to
-// disabled ones (the fuzz harness proves this: oracle #6 runs the reference
+// MetricsRegistry: the export side of the deterministic metrics layer.  The
+// simulator keeps its cycle ledgers (ProcStats::ledger) and per-lock records
+// (sync::LockAggregate) on every run; the registry adds only what a plain run
+// does not keep — the windowed bus-utilization gauge and the machine
+// counters — and, at the end of the run, receives a copy of the ledgers and
+// lock records so the exporters and the machine-profile report read one
+// object.  The Simulator holds no registry when MetricsConfig.enabled is
+// false; the gauge is its only live hook, and metrics-enabled runs are
+// byte-identical to disabled ones (fuzz oracle #7 runs the reference
 // simulation with metrics on and compares it byte-for-byte against a plain
 // run).
 //
@@ -18,7 +21,7 @@
 #include <vector>
 
 #include "obs/stall_attribution.hpp"
-#include "util/histogram.hpp"
+#include "sync/lock_stats.hpp"
 
 namespace syncpat::obs {
 
@@ -62,37 +65,25 @@ class BusWindowGauge {
   std::uint64_t last_len_ = 0;
 };
 
-/// Per-lock contention metrics, fed by LockStatsCollector (every scheme
-/// funnels through it, so one hook instruments them all).  Histogram totals
-/// are conserved against the LockStats aggregates by construction:
-/// waiters_at_acquire.count() == acquisitions and
-/// handoff_cycles.count() == transfers (oracle #6 checks both).
-struct LockMetrics {
-  std::uint64_t acquisitions = 0;
-  std::uint64_t transfers = 0;
-  util::Histogram waiters_at_acquire;  // waiters still queued as the lock is taken
-  util::Histogram hold_cycles;         // acquire -> release issue
-  util::Histogram handoff_cycles;      // release -> next owner running
-};
-
 class MetricsRegistry {
  public:
-  MetricsRegistry(const MetricsConfig& config, std::uint32_t num_procs);
+  explicit MetricsRegistry(const MetricsConfig& config);
+
+  /// Called once at the end of Simulator::run(): clips the bus gauge at the
+  /// run's final cycle and takes the end-of-run snapshot — one ledger per
+  /// processor and one record per lock, keyed and exported by line address
+  /// (sorted, so rendering is deterministic).
+  void finalize(std::uint64_t run_time, std::vector<ProcAttribution> ledgers,
+                std::map<std::uint32_t, sync::LockAggregate> locks);
 
   [[nodiscard]] std::uint32_t num_procs() const {
-    return static_cast<std::uint32_t>(procs_.size());
+    return static_cast<std::uint32_t>(ledgers_.size());
   }
-  [[nodiscard]] ProcMetrics& proc(std::uint32_t p) { return procs_[p]; }
-  [[nodiscard]] const ProcMetrics& proc(std::uint32_t p) const {
-    return procs_[p];
+  [[nodiscard]] const ProcAttribution& ledger(std::uint32_t p) const {
+    return ledgers_[p];
   }
-
-  /// Lazily-created per-lock slot (keyed and exported by line address,
-  /// sorted, so rendering is deterministic).
-  [[nodiscard]] LockMetrics& lock(std::uint32_t line_addr) {
-    return locks_[line_addr];
-  }
-  [[nodiscard]] const std::map<std::uint32_t, LockMetrics>& locks() const {
+  [[nodiscard]] const std::map<std::uint32_t, sync::LockAggregate>& locks()
+      const {
     return locks_;
   }
 
@@ -107,12 +98,9 @@ class MetricsRegistry {
     return counters_;
   }
 
-  /// Called once at the end of Simulator::run() with the final cycle.
-  void finalize(std::uint64_t run_time) { bus_.finalize(run_time); }
-
  private:
-  std::vector<ProcMetrics> procs_;
-  std::map<std::uint32_t, LockMetrics> locks_;
+  std::vector<ProcAttribution> ledgers_;
+  std::map<std::uint32_t, sync::LockAggregate> locks_;
   BusWindowGauge bus_;
   std::map<std::string, std::uint64_t> counters_;
 };

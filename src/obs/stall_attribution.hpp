@@ -2,27 +2,24 @@
 // to exactly one category, refining the paper's three-way work/cache/lock
 // split (Tables 3/5) into the machine-level causes behind it.
 //
-// The conservation identity — enforced per processor by fuzz oracle #6 and
-// the metrics tests — is
+// The ledger is always on.  Processor books every cycle through one charge
+// call that increments a ProcStats paper column and a ledger category
+// together, so on every run
 //
-//   sum over categories == completion_cycle
+//   sum over categories == work + stalls == completion_cycle
 //
-// i.e. the attribution mirrors every ProcStats increment one-for-one; it
-// never invents or drops a cycle.  The categories intentionally re-attribute
-// some cycles the legacy counters lump together: a resume/retry cycle
+// per processor; it never invents or drops a cycle.  The categories are not
+// a finer partition of the paper columns, though: a resume/retry cycle
 // (counted as stall_cache by ProcStats) is charged to the wait that caused
-// it, and a lock operation's own memory access is split into its
-// arbitration / transfer / memory phases instead of one "cache" bucket.
-//
-// Charging is null-unless-enabled: Processor holds a ProcMetrics pointer that
-// is null when metrics are off, so the disabled path costs one branch per
-// accounting site and can never perturb simulation behavior.
+// it, a lock operation's own memory access is split into its arbitration /
+// transfer / memory phases, and a structural stall (a stall_cache cycle) is
+// write_buffer_full like a fence drain.  Neither record can be derived from
+// the other.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 
 namespace syncpat::obs {
 
@@ -58,17 +55,6 @@ struct ProcAttribution {
     for (const std::uint64_t c : cycles) sum += c;
     return sum;
   }
-};
-
-/// The per-processor metrics slot handed to Processor (null when disabled).
-/// `invalidated_lines` remembers lines snooped away from this processor's
-/// cache; the next miss on such a line is a coherence refill, consumed
-/// (erased) when it marks the refetching transaction.  Metrics-only state:
-/// it is read and written solely on the charging path and never branches
-/// simulation behavior.
-struct ProcMetrics {
-  ProcAttribution attr;
-  std::unordered_set<std::uint32_t> invalidated_lines;
 };
 
 }  // namespace syncpat::obs

@@ -1,7 +1,6 @@
 #include "report/lock_timeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -13,18 +12,6 @@
 namespace syncpat::report {
 
 namespace {
-
-std::string lock_cell(std::uint32_t line) {
-  char label[32];
-  if (trace::AddressMap::classify(line) == trace::Region::kLock &&
-      line < trace::AddressMap::lock_addr(1u << 20)) {
-    std::snprintf(label, sizeof(label), "lock %u",
-                  trace::AddressMap::lock_id(line));
-  } else {
-    std::snprintf(label, sizeof(label), "0x%08x", line);
-  }
-  return label;
-}
 
 struct Window {
   std::uint64_t handoffs = 0;
@@ -86,7 +73,7 @@ Table lock_timeline_table(const obs::LockTimeline& timeline,
         all.latency.add(xfer.latency);
       }
     }
-    add_rows(t, lock_cell(line), "all", all);
+    add_rows(t, trace::AddressMap::lock_label(line), "all", all);
     for (std::size_t w = 0; w < phases; ++w) {
       add_rows(t, "",
                std::to_string(w + 1) + "/" + std::to_string(phases),

@@ -36,7 +36,7 @@ Table machine_profile_cycles(const obs::MetricsRegistry& m,
 
   obs::ProcAttribution totals;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
-    const obs::ProcAttribution& a = m.proc(p).attr;
+    const obs::ProcAttribution& a = m.ledger(p);
     std::vector<std::string> row = {std::to_string(p),
                                     util::with_commas(a.total())};
     for (std::size_t c = 0; c < obs::kNumStallCats; ++c) {
@@ -62,9 +62,9 @@ Table machine_profile_locks(const obs::MetricsRegistry& m) {
     t.add_row({hex_line(line), util::with_commas(lm.acquisitions),
                util::with_commas(lm.transfers),
                util::fixed(lm.waiters_at_acquire.mean(), 2),
-               util::fixed(lm.hold_cycles.mean(), 1),
-               util::with_commas(lm.hold_cycles.quantile(0.9)),
-               util::fixed(lm.handoff_cycles.mean(), 1)});
+               util::fixed(lm.hold_hist.mean(), 1),
+               util::with_commas(lm.hold_hist.quantile(0.9)),
+               util::fixed(lm.transfer_hist.mean(), 1)});
   }
   t.note("hold = acquire to release issue; hand-off = release to next owner");
   return t;

@@ -1,7 +1,6 @@
 #include "report/per_lock.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "trace/address_map.hpp"
@@ -28,15 +27,8 @@ Table per_lock_table(const sync::LockStatsCollector& stats,
   t.columns({"Lock", "Acqs", "Transfers", "Waiters", "Held", "Transfer(cy)"});
   for (std::size_t i = 0; i < locks.size() && i < max_rows; ++i) {
     const auto& [line, agg] = locks[i];
-    char label[32];
-    if (trace::AddressMap::classify(line) == trace::Region::kLock &&
-        line < trace::AddressMap::lock_addr(1u << 20)) {
-      std::snprintf(label, sizeof(label), "lock %u",
-                    trace::AddressMap::lock_id(line));
-    } else {
-      std::snprintf(label, sizeof(label), "0x%08x", line);
-    }
-    t.add_row({label, util::with_commas(agg->acquisitions),
+    t.add_row({trace::AddressMap::lock_label(line),
+               util::with_commas(agg->acquisitions),
                util::with_commas(agg->transfers),
                util::fixed(agg->waiters_at_transfer.mean(), 2),
                util::fixed(agg->hold_cycles.mean(), 0),

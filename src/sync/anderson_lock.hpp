@@ -34,12 +34,6 @@ class AndersonLock final : public LockScheme {
   [[nodiscard]] const char* name() const override { return "anderson"; }
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
-  /// Slot spinners wake only via the releaser's single-line invalidation, so
-  /// the DES core may settle them lazily.
-  [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
-                                       std::uint32_t /*spin_line*/) const override {
-    return true;
-  }
 
   /// The cache line of array slot `slot` of the lock at `lock_line`.
   [[nodiscard]] std::uint32_t slot_line(std::uint32_t lock_line,

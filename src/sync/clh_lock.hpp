@@ -44,12 +44,6 @@ class ClhLock final : public LockScheme {
   [[nodiscard]] const char* name() const override { return "clh"; }
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
-  /// Predecessor-node spinners wake only via the releaser's targeted
-  /// invalidation, so the DES core may settle them lazily.
-  [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
-                                       std::uint32_t /*spin_line*/) const override {
-    return true;
-  }
 
   /// The queue-node cache line of processor `proc`.
   [[nodiscard]] static std::uint32_t node_line(std::uint32_t proc);

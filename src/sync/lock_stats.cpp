@@ -1,7 +1,8 @@
 #include "sync/lock_stats.hpp"
 
+#include <initializer_list>
+
 #include "obs/event_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace syncpat::sync {
@@ -11,15 +12,10 @@ void LockStatsCollector::acquired(std::uint32_t lock_line, std::uint32_t proc,
                                   std::uint64_t waiters_now) {
   Live& live = live_[lock_line];
   live.acquire_time = now;
-  ++total_.acquisitions;
-  ++per_lock_[lock_line].acquisitions;
-  if (metrics_ != nullptr) {
-    obs::LockMetrics& lm = metrics_->lock(lock_line);
-    ++lm.acquisitions;
-    lm.waiters_at_acquire.add(waiters_now);
-    if (live.transfer_pending) {
-      lm.handoff_cycles.add(now - live.release_time);
-    }
+  LockAggregate& lock = per_lock_[lock_line];
+  for (LockAggregate* agg : {&total_, &lock}) {
+    ++agg->acquisitions;
+    agg->waiters_at_acquire.add(waiters_now);
   }
   if (recorder_ != nullptr) {
     recorder_->emit(obs::TraceEvent{now, obs::EventKind::kAcquired,
@@ -28,16 +24,16 @@ void LockStatsCollector::acquired(std::uint32_t lock_line, std::uint32_t proc,
   }
   if (live.transfer_pending) {
     // acquired() via a hand-off also closes the transfer-latency window.
-    const auto latency = static_cast<double>(now - live.release_time);
-    total_.transfer_cycles.add(latency);
-    total_.transfer_hist.add(now - live.release_time);
-    per_lock_[lock_line].transfer_cycles.add(latency);
-    per_lock_[lock_line].transfer_hist.add(now - live.release_time);
+    const std::uint64_t latency = now - live.release_time;
+    for (LockAggregate* agg : {&total_, &lock}) {
+      agg->transfer_cycles.add(static_cast<double>(latency));
+      agg->transfer_hist.add(latency);
+    }
     live.transfer_pending = false;
     if (recorder_ != nullptr) {
       recorder_->emit(obs::TraceEvent{now, obs::EventKind::kTransferDone,
                                       static_cast<std::int32_t>(proc),
-                                      lock_line, 0, now - live.release_time});
+                                      lock_line, 0, latency});
     }
   }
 }
@@ -57,21 +53,17 @@ void LockStatsCollector::released(std::uint32_t lock_line, std::uint64_t now,
   const std::uint64_t hold_end =
       live.release_issue_valid ? live.release_issue_time : now;
   live.release_issue_valid = false;
-  const auto held = static_cast<double>(hold_end - live.acquire_time);
-  total_.hold_cycles.add(held);
-  per_lock_[lock_line].hold_cycles.add(held);
-  if (metrics_ != nullptr) {
-    obs::LockMetrics& lm = metrics_->lock(lock_line);
-    lm.hold_cycles.add(hold_end - live.acquire_time);
-    if (transferred) ++lm.transfers;
+  const std::uint64_t held = hold_end - live.acquire_time;
+  for (LockAggregate* agg : {&total_, &per_lock_[lock_line]}) {
+    agg->hold_cycles.add(static_cast<double>(held));
+    agg->hold_hist.add(held);
+    if (transferred) {
+      ++agg->transfers;
+      agg->hold_cycles_transfer.add(static_cast<double>(held));
+      agg->waiters_at_transfer.add(static_cast<double>(waiters_left));
+    }
   }
   if (transferred) {
-    ++total_.transfers;
-    ++per_lock_[lock_line].transfers;
-    total_.hold_cycles_transfer.add(held);
-    per_lock_[lock_line].hold_cycles_transfer.add(held);
-    total_.waiters_at_transfer.add(static_cast<double>(waiters_left));
-    per_lock_[lock_line].waiters_at_transfer.add(static_cast<double>(waiters_left));
     live.release_time = now;
     live.transfer_pending = true;
   }

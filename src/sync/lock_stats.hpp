@@ -6,6 +6,10 @@
 // released by one processor and acquired by the first waiter".  Transfer
 // time measures release-to-next-acquire latency (the paper quotes
 // ~1.2-1.5 cycles for its queuing-lock approximation and ~21-25 for T&T&S).
+//
+// Every lock scheme funnels through LockStatsCollector, so its LockAggregate
+// per lock is the one per-lock record: the paper's tables, the per-lock
+// report and the metrics export all read it.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +20,6 @@
 
 namespace syncpat::obs {
 class EventRecorder;
-class MetricsRegistry;
 }
 
 namespace syncpat::sync {
@@ -28,7 +31,9 @@ struct LockAggregate {
   util::RunningStat hold_cycles_transfer;  // acquisitions whose release handed off
   util::RunningStat waiters_at_transfer;   // still waiting after the hand-off
   util::RunningStat transfer_cycles;       // release-complete -> next acquire
-  util::Histogram transfer_hist;
+  util::Histogram transfer_hist;           // the transfer_cycles samples
+  util::Histogram hold_hist;               // the hold_cycles samples
+  util::Histogram waiters_at_acquire;      // others still waiting, per acquisition
 };
 
 class LockStatsCollector {
@@ -58,14 +63,6 @@ class LockStatsCollector {
   /// construction.  Null (the default) emits nothing.
   void set_recorder(obs::EventRecorder* recorder) { recorder_ = recorder; }
 
-  /// Same funnel, second consumer: mirrors per-lock contention into the
-  /// metrics registry's histograms (waiters-at-acquire, hold, hand-off).
-  /// The mirrored counts are conserved against the aggregates by
-  /// construction: waiters_at_acquire.count() == acquisitions and
-  /// handoff_cycles.count() == transfers.  Null (the default) records
-  /// nothing.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
   [[nodiscard]] const LockAggregate& total() const { return total_; }
   [[nodiscard]] const std::unordered_map<std::uint32_t, LockAggregate>& per_lock()
       const {
@@ -85,7 +82,6 @@ class LockStatsCollector {
   std::unordered_map<std::uint32_t, LockAggregate> per_lock_;
   std::unordered_map<std::uint32_t, Live> live_;
   obs::EventRecorder* recorder_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace syncpat::sync

@@ -69,7 +69,9 @@ class SchemeServices {
 
   /// Puts `proc` into the lock-wait state.  `spinning` selects in-cache
   /// spinning (invalidation of `spin_line` triggers on_spin_invalidated)
-  /// versus passive waiting (queuing lock).
+  /// versus passive waiting (queuing lock).  Either way the waiter has no
+  /// self-generated future event — only an invalidation, a timer or a
+  /// hand-off wakes it — so the DES core settles its wait cycles lazily.
   virtual void proc_wait(std::uint32_t proc, bool spinning,
                          std::uint32_t spin_line) = 0;
   virtual void stop_spin(std::uint32_t proc) = 0;
@@ -103,17 +105,6 @@ class LockScheme {
   /// (classifies the stall cause of acquire accesses).
   [[nodiscard]] virtual bool held_by_other(std::uint32_t proc,
                                            std::uint32_t lock_line) const = 0;
-
-  /// DES contract: true when a processor spinning in-cache on `spin_line`
-  /// has no self-generated future event — it reacts only to an invalidation
-  /// of its cached copy (on_spin_invalidated) or a timer, both of which the
-  /// simulator tracks.  Every shipped scheme satisfies this; a scheme whose
-  /// spinners poll on their own clock must return false so the DES core
-  /// ticks them every cycle instead of settling them lazily.
-  [[nodiscard]] virtual bool spinner_skippable(std::uint32_t /*proc*/,
-                                               std::uint32_t /*spin_line*/) const {
-    return true;
-  }
 };
 
 }  // namespace syncpat::sync

@@ -32,12 +32,6 @@ class TicketLock final : public LockScheme {
   [[nodiscard]] const char* name() const override { return "ticket"; }
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
-  /// Now-serving spinners wake only via the releaser's invalidation, so the
-  /// DES core may settle them lazily.
-  [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
-                                       std::uint32_t /*spin_line*/) const override {
-    return true;
-  }
 
   /// The now-serving counter lives on the cache line after the ticket line.
   [[nodiscard]] std::uint32_t serving_line(std::uint32_t lock_line) const {

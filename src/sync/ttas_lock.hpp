@@ -35,12 +35,6 @@ class TtasLock final : public LockScheme {
   [[nodiscard]] const char* name() const override { return "ttas"; }
   [[nodiscard]] bool held_by_other(std::uint32_t proc,
                                    std::uint32_t lock_line) const override;
-  /// Spinners read their own Shared copy and wake only via invalidation, so
-  /// the DES core may settle them lazily.
-  [[nodiscard]] bool spinner_skippable(std::uint32_t /*proc*/,
-                                       std::uint32_t /*spin_line*/) const override {
-    return true;
-  }
 
  private:
   struct LockState {

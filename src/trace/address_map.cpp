@@ -1,5 +1,7 @@
 #include "trace/address_map.hpp"
 
+#include <cstdio>
+
 #include "util/assert.hpp"
 
 namespace syncpat::trace {
@@ -60,6 +62,16 @@ std::uint32_t AddressMap::barrier_addr(std::uint32_t barrier_id) {
 std::uint32_t AddressMap::lock_id(std::uint32_t addr) {
   SYNCPAT_ASSERT(classify(addr) == Region::kLock);
   return (addr - kLockBase) / kLockStride;
+}
+
+std::string AddressMap::lock_label(std::uint32_t line) {
+  char buf[32];
+  if (classify(line) == Region::kLock && line < lock_addr(1u << 20)) {
+    std::snprintf(buf, sizeof buf, "lock %u", lock_id(line));
+  } else {
+    std::snprintf(buf, sizeof buf, "0x%08x", line);
+  }
+  return buf;
 }
 
 std::uint32_t AddressMap::private_owner(std::uint32_t addr) {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 namespace syncpat::trace {
 
@@ -53,6 +54,9 @@ class AddressMap {
   [[nodiscard]] static std::uint32_t barrier_addr(std::uint32_t barrier_id);
   /// Inverse of lock_addr.  Precondition: classify(addr) == kLock.
   [[nodiscard]] static std::uint32_t lock_id(std::uint32_t addr);
+  /// Report label of a lock's cache line: "lock N" for lock ids in the lock
+  /// region, the hex line address (barriers, spin flags, ...) otherwise.
+  [[nodiscard]] static std::string lock_label(std::uint32_t line);
   /// Which processor owns a private address.
   [[nodiscard]] static std::uint32_t private_owner(std::uint32_t addr);
 

@@ -1,14 +1,16 @@
-// The deterministic metrics layer: exact stall-cause attribution (every
+// The deterministic metrics layer: the always-on stall ledger (every
 // simulated cycle charged to exactly one category, ledger == completion
-// cycle), per-lock contention histograms conserved against LockStats, the
-// windowed bus gauge conserved against the bus's own busy counter, and
-// byte-identical exports across execution engines and engine job counts.
+// cycle) and its export, the windowed bus gauge conserved against the bus's
+// own busy counter, the JSON/CSV/Chrome-trace exports, and byte-identical
+// exports across execution engines and engine job counts.
 //
 // Every suite here is named Metrics* so the TSan recipe can select the whole
 // layer with --gtest_filter=':Metrics*'.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "core/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "fuzz/render.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/self_profile.hpp"
 #include "obs/stall_attribution.hpp"
@@ -48,7 +51,7 @@ void expect_conservation(const obs::MetricsRegistry& m,
                          const std::string& what) {
   ASSERT_EQ(m.num_procs(), r.per_proc.size()) << what;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
-    EXPECT_EQ(m.proc(p).attr.total(), r.per_proc[p].completion_cycle)
+    EXPECT_EQ(m.ledger(p).total(), r.per_proc[p].completion_cycle)
         << what << ": proc " << p;
   }
 }
@@ -56,7 +59,7 @@ void expect_conservation(const obs::MetricsRegistry& m,
 std::uint64_t total_of(const obs::MetricsRegistry& m, StallCat cat) {
   std::uint64_t sum = 0;
   for (std::uint32_t p = 0; p < m.num_procs(); ++p) {
-    sum += m.proc(p).attr.of(cat);
+    sum += m.ledger(p).of(cat);
   }
   return sum;
 }
@@ -71,7 +74,7 @@ class MetricsConservation : public ::testing::Test {
   }
 };
 
-// The tentpole invariant across every machine variant, plus export
+// Ledger conservation across every machine variant, plus export
 // byte-identity between execution engines (metrics must not observe the
 // engine's stepping strategy: DES or per-cycle tick).
 TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
@@ -103,13 +106,6 @@ TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
           const obs::MetricsRegistry* m = sim.metrics();
           ASSERT_NE(m, nullptr) << what;
           expect_conservation(*m, r, what);
-          // Per-lock histogram totals conserve against the lock counters.
-          for (const auto& [line, lm] : m->locks()) {
-            EXPECT_EQ(lm.waiters_at_acquire.count(), lm.acquisitions)
-                << what << ": lock " << line;
-            EXPECT_EQ(lm.handoff_cycles.count(), lm.transfers)
-                << what << ": lock " << line;
-          }
           // The clipped gauge equals the bus's tick-by-tick busy counter.
           EXPECT_EQ(m->bus().total_busy(), sim.bus().busy_cycles()) << what;
           const obs::MetricsMeta meta{r.program, r.scheme, r.consistency,
@@ -119,43 +115,6 @@ TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
         EXPECT_EQ(exports[0], exports[1])
             << what << ": metrics JSON differs between DES and per-cycle tick";
       }
-    }
-  }
-}
-
-TEST_F(MetricsConservation, AgreesWithLockStatsAggregates) {
-  const workload::BenchmarkProfile scaled =
-      profile_by_name("Qsort").scaled(64);
-  core::MachineConfig cfg;
-  cfg.metrics.enabled = true;
-  cfg.num_procs = scaled.num_procs;
-  trace::ProgramTrace program = workload::make_program_trace(scaled);
-  core::Simulator sim(cfg, program);
-  const core::SimulationResult r = sim.run();
-  const obs::MetricsRegistry* m = sim.metrics();
-  ASSERT_NE(m, nullptr);
-  ASSERT_GT(r.locks.acquisitions, 0u);
-
-  std::uint64_t acquisitions = 0;
-  std::uint64_t transfers = 0;
-  for (const auto& [line, lm] : m->locks()) {
-    acquisitions += lm.acquisitions;
-    transfers += lm.transfers;
-  }
-  EXPECT_EQ(acquisitions, r.locks.acquisitions);
-  EXPECT_EQ(transfers, r.locks.transfers);
-  // Per-lock: the metrics slot and the stats aggregate describe the same
-  // lock, sample for sample.
-  for (const auto& [line, agg] : sim.lock_stats().per_lock()) {
-    const auto it = m->locks().find(line);
-    ASSERT_NE(it, m->locks().end()) << "lock " << line;
-    EXPECT_EQ(it->second.acquisitions, agg.acquisitions) << "lock " << line;
-    EXPECT_EQ(it->second.transfers, agg.transfers) << "lock " << line;
-    EXPECT_EQ(it->second.hold_cycles.count(), agg.hold_cycles.count())
-        << "lock " << line;
-    if (agg.hold_cycles.count() > 0) {
-      EXPECT_NEAR(it->second.hold_cycles.mean(), agg.hold_cycles.mean(), 1.0)
-          << "lock " << line;
     }
   }
 }
@@ -178,11 +137,11 @@ TEST_F(MetricsMicro, SingleLockHandoff) {
   expect_conservation(*m, r, "single-lock hand-off");
 
   ASSERT_EQ(m->locks().size(), 1u);
-  const obs::LockMetrics& lm = m->locks().begin()->second;
+  const sync::LockAggregate& lm = m->locks().begin()->second;
   EXPECT_EQ(lm.acquisitions, 2u);
   EXPECT_EQ(lm.waiters_at_acquire.count(), 2u);
-  EXPECT_EQ(lm.handoff_cycles.count(), lm.transfers);
-  EXPECT_EQ(lm.hold_cycles.count(), 2u);
+  EXPECT_EQ(lm.transfers, 1u);
+  EXPECT_EQ(lm.hold_hist.count(), 2u);
   // The loser spent real cycles waiting for the queued lock.
   EXPECT_GT(total_of(*m, StallCat::kLockQueuedWait) +
                 total_of(*m, StallCat::kLockSpin),
@@ -264,6 +223,151 @@ TEST_F(MetricsConservation, ExportBytesIdenticalAcrossJobCounts) {
   const std::string b = fingerprint(core::run_grid(grid, pooled));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+class MetricsLedger : public MetricsConservation {
+ protected:
+  /// One scale-64 paper-profile cell, run to completion on construction.
+  struct Cell {
+    Cell(const std::string& name, sync::SchemeKind scheme,
+         bus::ConsistencyModel model, bool metrics)
+        : program(workload::make_program_trace(
+              profile_by_name(name).scaled(64))),
+          sim(config(scheme, model, metrics, program.num_procs()), program),
+          result(sim.run()) {}
+
+    static core::MachineConfig config(sync::SchemeKind scheme,
+                                      bus::ConsistencyModel model,
+                                      bool metrics, std::size_t procs) {
+      core::MachineConfig cfg;
+      cfg.lock_scheme = scheme;
+      cfg.consistency = model;
+      cfg.num_procs = static_cast<std::uint32_t>(procs);
+      cfg.metrics.enabled = metrics;
+      return cfg;
+    }
+    [[nodiscard]] obs::MetricsMeta meta() const {
+      return {result.program, result.scheme, result.consistency,
+              result.num_procs, result.run_time};
+    }
+
+    trace::ProgramTrace program;
+    core::Simulator sim;
+    core::SimulationResult result;
+  };
+};
+
+// The ledger is always on: a metrics-off run books the per-processor
+// category totals that the metrics export of the same cell reports, lost-line
+// refills included (the cell has invalidation_refill cycles).
+TEST_F(MetricsLedger, MetricsOffRunBooksTheExportedLedger) {
+  const Cell off("Grav", sync::SchemeKind::kTtas,
+                 bus::ConsistencyModel::kSequential, /*metrics=*/false);
+  const Cell on("Grav", sync::SchemeKind::kTtas,
+                bus::ConsistencyModel::kSequential, /*metrics=*/true);
+  ASSERT_EQ(off.sim.metrics(), nullptr);
+  ASSERT_NE(on.sim.metrics(), nullptr);
+  const std::string csv = obs::metrics_to_csv(*on.sim.metrics(), on.meta());
+
+  std::uint64_t refill = 0;
+  for (std::uint32_t p = 0; p < off.result.num_procs; ++p) {
+    const obs::ProcAttribution& ledger = off.sim.proc(p).stats().ledger;
+    refill += ledger.of(StallCat::kInvalidationRefill);
+    for (std::size_t c = 0; c < obs::kNumStallCats; ++c) {
+      const std::string row =
+          "\nstall.proc" + std::to_string(p) + "," +
+          obs::stall_cat_name(static_cast<StallCat>(c)) + "," +
+          std::to_string(ledger.cycles[c]) + "\n";
+      EXPECT_NE(csv.find(row), std::string::npos) << row;
+    }
+  }
+  EXPECT_GT(refill, 0u);
+}
+
+// The paper columns are not a function of the ten categories: structural
+// stalls count as stall_cache but are write_buffer_full, so on this cell the
+// category exceeds the fence column while the ledger still sums exactly.
+TEST_F(MetricsLedger, WriteBufferFullIsNotTheFenceColumn) {
+  const Cell cell("Pverify", sync::SchemeKind::kQueuing,
+                  bus::ConsistencyModel::kWeak, /*metrics=*/false);
+  std::uint64_t write_buffer_full = 0;
+  std::uint64_t stall_fence = 0;
+  for (std::uint32_t p = 0; p < cell.result.num_procs; ++p) {
+    const core::ProcStats& ps = cell.sim.proc(p).stats();
+    write_buffer_full += ps.ledger.of(StallCat::kWriteBufferFull);
+    stall_fence += ps.stall_fence;
+    EXPECT_EQ(ps.ledger.total(), ps.completion_cycle) << "proc " << p;
+  }
+  EXPECT_GT(write_buffer_full, stall_fence);
+}
+
+// metrics_to_csv's record structure: the meta header, one stall block per
+// processor plus the totals, one lock.0x... block per lock record in line
+// order, then the bus gauge and the machine counters.
+TEST_F(MetricsLedger, CsvHasOneBlockPerRecord) {
+  const Cell cell("Grav", sync::SchemeKind::kQueuing,
+                  bus::ConsistencyModel::kSequential, /*metrics=*/true);
+  const obs::MetricsRegistry& m = *cell.sim.metrics();
+  ASSERT_GT(m.locks().size(), 1u);
+  const std::string csv = obs::metrics_to_csv(m, cell.meta());
+
+  std::vector<std::string> expected = {"record", "meta"};
+  for (std::uint32_t p = 0; p < cell.result.num_procs; ++p) {
+    expected.push_back("stall.proc" + std::to_string(p));
+  }
+  expected.push_back("stall.total");
+  for (const auto& [line, lock] : m.locks()) {
+    char record[32];
+    std::snprintf(record, sizeof record, "lock.0x%08x", line);
+    expected.push_back(record);
+    EXPECT_NE(csv.find(std::string("\n") + record + ",acquisitions," +
+                       std::to_string(lock.acquisitions) + "\n"),
+              std::string::npos)
+        << record;
+  }
+  expected.push_back("bus");
+  expected.push_back("counter");
+
+  std::vector<std::string> blocks;
+  std::istringstream in(csv);
+  for (std::string row; std::getline(in, row);) {
+    const std::string record = row.substr(0, row.find(','));
+    if (blocks.empty() || blocks.back() != record) blocks.push_back(record);
+  }
+  EXPECT_EQ(blocks, expected);
+
+  std::uint64_t completion = 0;
+  for (const core::ProcResult& p : cell.result.per_proc) {
+    completion += p.completion_cycle;
+  }
+  EXPECT_NE(csv.find("\nstall.total,total," + std::to_string(completion) + "\n"),
+            std::string::npos);
+}
+
+// A program label may be a trace-file path of any length: every export
+// carries it whole (a fixed-size format buffer would truncate it).
+TEST(MetricsExport, LongProgramNameSurvivesEveryExport) {
+  const std::string name = "traces/" + std::string(285, 'x') + ".sptrace";
+  ASSERT_EQ(name.size(), 300u);
+  obs::MetricsRegistry m{obs::MetricsConfig{}};
+  m.finalize(0, {}, {});
+  const obs::MetricsMeta meta{name, "ttas", "sequential", 1, 0};
+
+  const std::string header = "{\n\"program\":\"" + name +
+                             "\",\"scheme\":\"ttas\",\"consistency\":"
+                             "\"sequential\",\"num_procs\":1,\"run_time\":0,\n";
+  EXPECT_EQ(obs::metrics_to_json(m, meta).substr(0, header.size()), header);
+  const std::string csv = obs::metrics_to_csv(m, meta);
+  EXPECT_NE(csv.find("\nmeta,program," + name + "\nmeta,scheme,ttas\n"),
+            std::string::npos);
+
+  const std::string trace = obs::ChromeTraceSink(name, 1).finish();
+  for (const char* suffix : {"processors", "locks", "bus", "machine"}) {
+    EXPECT_NE(trace.find("\"args\":{\"name\":\"" + name + " " + suffix +
+                         "\"}},\n"),
+              std::string::npos)
+        << suffix;
+  }
 }
 
 TEST(MetricsDisabled, SimulatorHoldsNoRegistry) {

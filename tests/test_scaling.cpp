@@ -247,8 +247,8 @@ TEST_F(ScalingDifferential, DsmChargesAndConservesRemoteAccessStalls) {
   ASSERT_NE(m, nullptr);
   std::uint64_t remote = 0;
   for (std::uint32_t p = 0; p < m->num_procs(); ++p) {
-    remote += m->proc(p).attr.of(obs::StallCat::kRemoteAccess);
-    EXPECT_EQ(m->proc(p).attr.total(), r.per_proc[p].completion_cycle)
+    remote += m->ledger(p).of(obs::StallCat::kRemoteAccess);
+    EXPECT_EQ(m->ledger(p).total(), r.per_proc[p].completion_cycle)
         << "attribution ledger must stay exact under dsm, proc " << p;
   }
   EXPECT_GT(remote, 0u) << "a 2-node machine must see remote accesses";
