@@ -33,6 +33,7 @@ syncpat::workload::BenchmarkProfile barrier_profile(std::uint32_t procs) {
 
 int main() {
   using namespace syncpat;
+  const std::uint64_t scale = bench::scale_or_die(bench::kDefaultScale * 2);
   std::cout << "Ablation: barrier waiting vs lock waiting (§3.1 remark)\n\n";
 
   report::Table t("Average processors already waiting at a barrier arrival");
@@ -49,9 +50,7 @@ int main() {
 
   core::MachineConfig config;
   const auto grav =
-      core::run_experiment(config, workload::grav_profile(),
-                           core::scale_from_env(bench::kDefaultScale * 2))
-          .sim;
+      core::run_experiment(config, workload::grav_profile(), scale).sim;
   std::cout << "For contrast, Grav's queuing-lock waiters at transfer: "
             << util::fixed(grav.locks.waiters_at_transfer.mean(), 2) << " of "
             << grav.num_procs << " processors — *more* than half the machine, "

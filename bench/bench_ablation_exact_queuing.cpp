@@ -17,7 +17,7 @@
 
 int main() {
   using namespace syncpat;
-  const std::uint64_t scale = core::scale_from_env(bench::kDefaultScale);
+  const std::uint64_t scale = bench::scale_or_die(bench::kDefaultScale);
   bench::print_scale_banner(scale);
 
   std::cout << "Ablation: approximate vs exact queuing lock (the paper's "

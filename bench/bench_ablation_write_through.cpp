@@ -15,7 +15,7 @@
 
 int main() {
   using namespace syncpat;
-  const std::uint64_t scale = core::scale_from_env(bench::kDefaultScale * 2);
+  const std::uint64_t scale = bench::scale_or_die(bench::kDefaultScale * 2);
   bench::print_scale_banner(scale);
   std::cout << "Ablation: weak-ordering benefit, write-back vs write-through "
                "caches\n\n";

@@ -15,11 +15,10 @@
 //     --mem-cycles N        memory access time (default 3)
 //     --bus-discipline D    round-robin|fixed-priority|fcfs: the bus
 //                           arbitration service discipline (default
-//                           round-robin, the paper's machine; CLI spelling
-//                           of SYNCPAT_BUS_DISCIPLINE)
+//                           round-robin, the paper's machine)
 //     --model NAME          bus|dsm: memory cost model (default bus; dsm
 //                           adds a remote-access penalty for lines homed on
-//                           another node; CLI spelling of SYNCPAT_MODEL)
+//                           another node)
 //     --dsm-nodes N         dsm only: home-directory node count (default 4)
 //     --dsm-remote-cycles N dsm only: extra cycles a remote access pays on
 //                           top of the base memory time (default 20)
@@ -29,8 +28,7 @@
 //                           violation
 //     --engine NAME         des|tick: the discrete-event core (default) or
 //                           the per-cycle tick loop that is its oracle;
-//                           results are byte-identical (CLI spelling of
-//                           SYNCPAT_ENGINE)
+//                           results are byte-identical
 //     --sweep               run every scheme x both memory models on the
 //                           parallel engine and print a comparison table
 //                           (profiles only)
@@ -54,9 +52,6 @@
 //                           (default 4096)
 //     --csv                 emit results as CSV instead of a table
 //     --validate            validate the trace and exit
-//
-// SYNCPAT_METRICS=1|0 overrides the metrics default from the environment
-// (any other value is an error, never a silent default).
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -400,25 +395,16 @@ int main(int argc, char** argv) {
   // timeline is useful on its own); --trace-out implies recording.
   config.trace.enabled = !opt.trace_out.empty() || opt.trace_events_given;
   config.trace.categories = opt.trace_categories;
-  try {
-    // --metrics-out implies --metrics; SYNCPAT_METRICS=1|0 overrides both.
-    config.metrics.enabled =
-        obs::metrics_enabled_from_env(opt.metrics || !opt.metrics_out.empty());
-    if (!opt.metrics_out.empty()) {
-      // Validate the extension up front: fail before the run, not after.
+  // --metrics-out implies --metrics.
+  config.metrics.enabled = opt.metrics || !opt.metrics_out.empty();
+  if (!opt.metrics_out.empty()) {
+    // Validate the extension up front: fail before the run, not after.
+    try {
       (void)obs::metrics_format_from_path(opt.metrics_out);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
     }
-    // Resolve SYNCPAT_ENGINE up front too: a malformed value must exit 2
-    // here, not escape from a grid worker thread mid-run.
-    config.engine = core::resolve_engine_from_env(config.engine);
-    // Same policy for SYNCPAT_BUS_DISCIPLINE / SYNCPAT_MODEL: junk exits 2
-    // here with the variable named, never a silent default.
-    config.bus_discipline =
-        core::resolve_bus_discipline_from_env(config.bus_discipline);
-    config.model = core::resolve_mem_model_from_env(config.model);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
   }
   if (opt.metrics_window > 0) {
     config.metrics.bus_window_cycles = opt.metrics_window;
@@ -485,7 +471,7 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
   if (opt.per_lock) {
-    report::per_lock_table(sim.lock_stats()).print(std::cout);
+    report::per_lock_table(sim.lock_stats().per_lock()).print(std::cout);
   }
   if (const obs::MetricsRegistry* m = sim.metrics()) {
     const obs::MetricsMeta meta{r.program, r.scheme, r.consistency,

@@ -96,10 +96,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The engine differential compares DES against per-cycle tick; an
-  // inherited env override would silently collapse the two arms.
-  unsetenv("SYNCPAT_ENGINE");
-
   if (inject_failure) {
     opt.injected_oracle = [](const fuzz::FuzzCase& c) {
       fuzz::OracleVerdict v;

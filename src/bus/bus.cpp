@@ -2,8 +2,6 @@
 
 namespace syncpat::bus {
 
-BusObserver::~BusObserver() = default;
-
 const char* txn_kind_name(TxnKind k) {
   switch (k) {
     case TxnKind::kRead: return "Read";

@@ -26,16 +26,6 @@ struct BusConfig {
   std::uint32_t data_cycles = 2;      // line transfer (line/bus width)
 };
 
-/// Observes bus tenure for the tracing layer.  Null unless tracing is on, so
-/// the occupy path pays one predictable branch.
-class BusObserver {
- public:
-  virtual ~BusObserver();
-  /// `txn` won arbitration and holds the bus for `cycles` bus cycles,
-  /// starting this cycle.
-  virtual void on_occupied(const Transaction& txn, std::uint32_t cycles) = 0;
-};
-
 class Bus {
  public:
   explicit Bus(const BusConfig& config) : config_(config) {
@@ -52,11 +42,7 @@ class Bus {
     SYNCPAT_ASSERT(cycles > 0);
     current_ = txn;
     remaining_ = cycles;
-    if (observer_ != nullptr) observer_->on_occupied(*txn, cycles);
   }
-
-  /// Registers the (single) tenure observer; nullptr detaches.
-  void set_observer(BusObserver* observer) { observer_ = observer; }
 
   /// Advances one cycle.  Returns the transaction whose bus tenure finished
   /// at the end of this cycle, if any.
@@ -107,7 +93,6 @@ class Bus {
 
  private:
   BusConfig config_;
-  BusObserver* observer_ = nullptr;
   Transaction* current_ = nullptr;
   std::uint32_t remaining_ = 0;
   std::uint64_t busy_cycles_ = 0;

@@ -33,6 +33,7 @@ ExperimentOutcome run_experiment(const MachineConfig& config,
     rec->add_sink(&timeline);
   }
   outcome.sim = sim.run();
+  outcome.per_lock = sim.lock_stats().per_lock();
   if (sim.recorder() != nullptr) {
     outcome.trace_json = chrome.finish();
     outcome.lock_timeline = timeline.take(outcome.sim.run_time);

@@ -13,6 +13,7 @@
 #include "core/results.hpp"
 #include "obs/lock_timeline.hpp"
 #include "obs/metrics.hpp"
+#include "sync/lock_stats.hpp"
 #include "trace/analyzer.hpp"
 #include "workload/profile.hpp"
 
@@ -29,6 +30,9 @@ struct InvariantReport {
 struct ExperimentOutcome {
   trace::IdealProgramStats ideal;
   SimulationResult sim;
+  /// The cell's per-lock records (LockStatsCollector::per_lock()), which
+  /// report::per_lock_table renders.
+  sync::LockRecords per_lock;
   InvariantReport invariants;
   /// Filled only when config.trace.enabled: the complete Chrome trace-event
   /// JSON document and the per-lock hand-off timeline for this cell.  Built

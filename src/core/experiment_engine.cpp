@@ -124,8 +124,14 @@ std::vector<ExperimentCell> grid_cells(const ExperimentGrid& grid) {
 }
 
 GridResult run_grid(const ExperimentGrid& grid, const EngineOptions& options) {
+  return run_grid(grid_cells(grid), options);
+}
+
+GridResult run_grid(std::vector<ExperimentCell> cells,
+                    const EngineOptions& options) {
   GridResult out;
-  out.cells = grid_cells(grid);
+  out.cells = std::move(cells);
+  for (std::size_t i = 0; i < out.cells.size(); ++i) out.cells[i].index = i;
   out.results.resize(out.cells.size());
   const Clock::time_point start = Clock::now();
 

@@ -5,8 +5,8 @@
 // Every cell builds its own ProgramTrace and Simulator, so cells share no
 // mutable state and the grid parallelizes embarrassingly; results come back
 // indexed by cell, in deterministic grid order regardless of how the pool
-// scheduled them.  This is the substrate the table benches, syncpat_cli
-// --sweep, and the golden regression tests run on.
+// scheduled them.  This is the substrate bench_paper, syncpat_cli --sweep,
+// and the golden regression tests run on.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +80,11 @@ struct EngineOptions {
 /// serial, no pool); otherwise a work-stealing pool of `jobs` workers.
 /// Results are deterministic and independent of the worker count.
 [[nodiscard]] GridResult run_grid(const ExperimentGrid& grid,
+                                  const EngineOptions& options = {});
+
+/// Same for an explicit cell list (e.g. several grids' cells concatenated,
+/// so they share one pool); cells are renumbered in list order.
+[[nodiscard]] GridResult run_grid(std::vector<ExperimentCell> cells,
                                   const EngineOptions& options = {});
 
 /// Reads the worker count from SYNCPAT_JOBS; `fallback` when unset.  Throws

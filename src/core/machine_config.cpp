@@ -1,7 +1,5 @@
 #include "core/machine_config.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,18 +14,6 @@ const char* engine_name(EngineKind kind) {
   return "?";
 }
 
-namespace {
-
-[[nodiscard]] EngineKind parse_engine(const char* text) {
-  if (std::strcmp(text, "des") == 0) return EngineKind::kDes;
-  if (std::strcmp(text, "tick") == 0) return EngineKind::kTick;
-  throw std::invalid_argument(std::string("SYNCPAT_ENGINE expects \"des\" or "
-                                          "\"tick\", got \"") +
-                              text + "\"");
-}
-
-}  // namespace
-
 const char* mem_model_name(MemModelKind kind) {
   switch (kind) {
     case MemModelKind::kBus: return "bus";
@@ -41,48 +27,6 @@ MemModelKind mem_model_from_name(const std::string& name) {
   if (name == "dsm") return MemModelKind::kDsm;
   throw std::invalid_argument("memory model expects \"bus\" or \"dsm\", got \"" +
                               name + "\"");
-}
-
-bus::DisciplineKind resolve_bus_discipline(bus::DisciplineKind config_value,
-                                           const char* env) {
-  if (env == nullptr) return config_value;
-  try {
-    return bus::discipline_from_name(env);
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument(
-        std::string("SYNCPAT_BUS_DISCIPLINE expects \"round-robin\", "
-                    "\"fixed-priority\" or \"fcfs\", got \"") +
-        env + "\"");
-  }
-}
-
-bus::DisciplineKind resolve_bus_discipline_from_env(
-    bus::DisciplineKind config_value) {
-  return resolve_bus_discipline(config_value,
-                                std::getenv("SYNCPAT_BUS_DISCIPLINE"));
-}
-
-MemModelKind resolve_mem_model(MemModelKind config_value, const char* env) {
-  if (env == nullptr) return config_value;
-  try {
-    return mem_model_from_name(env);
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument(
-        std::string("SYNCPAT_MODEL expects \"bus\" or \"dsm\", got \"") + env +
-        "\"");
-  }
-}
-
-MemModelKind resolve_mem_model_from_env(MemModelKind config_value) {
-  return resolve_mem_model(config_value, std::getenv("SYNCPAT_MODEL"));
-}
-
-EngineKind resolve_engine(EngineKind config_engine, const char* engine_env) {
-  return engine_env == nullptr ? config_engine : parse_engine(engine_env);
-}
-
-EngineKind resolve_engine_from_env(EngineKind config_engine) {
-  return resolve_engine(config_engine, std::getenv("SYNCPAT_ENGINE"));
 }
 
 std::string MachineConfig::describe() const {

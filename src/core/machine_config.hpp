@@ -31,14 +31,6 @@ enum class EngineKind : std::uint8_t { kDes, kTick };
 
 [[nodiscard]] const char* engine_name(EngineKind kind);
 
-/// Resolves the execution engine from the config value and the
-/// SYNCPAT_ENGINE environment string (nullptr = unset).  Strict: the
-/// variable accepts exactly "des" or "tick"; anything else throws
-/// std::invalid_argument naming the offending text.
-[[nodiscard]] EngineKind resolve_engine(EngineKind config_engine,
-                                        const char* engine_env);
-[[nodiscard]] EngineKind resolve_engine_from_env(EngineKind config_engine);
-
 /// Memory system cost model.
 ///   * kBus (default): the paper's machine — uniform memory behind the
 ///     shared bus, every access costs MemoryConfig::access_cycles.
@@ -64,20 +56,6 @@ struct DsmConfig {
   std::uint32_t remote_access_cycles = 20;
 };
 
-/// Resolves the bus service discipline from the config value and the
-/// SYNCPAT_BUS_DISCIPLINE environment string (nullptr = unset).  Strict:
-/// junk throws std::invalid_argument, never a silent default.
-[[nodiscard]] bus::DisciplineKind resolve_bus_discipline(
-    bus::DisciplineKind config_value, const char* env);
-[[nodiscard]] bus::DisciplineKind resolve_bus_discipline_from_env(
-    bus::DisciplineKind config_value);
-
-/// Resolves the memory model from the config value and the SYNCPAT_MODEL
-/// environment string (nullptr = unset).  Strict like the discipline.
-[[nodiscard]] MemModelKind resolve_mem_model(MemModelKind config_value,
-                                             const char* env);
-[[nodiscard]] MemModelKind resolve_mem_model_from_env(MemModelKind config_value);
-
 /// Opt-in runtime invariant checking (see core/invariant_checker.hpp).
 /// Compiled in unconditionally; a disabled checker costs one branch per
 /// cycle, so benches pay nothing.
@@ -100,13 +78,12 @@ struct MachineConfig {
   std::uint32_t cache_bus_buffer_depth = 4;
   mem::MemoryConfig memory;          // 3 cycles, 2-deep in/out buffers
 
-  /// Bus service discipline (see bus/service_discipline.hpp).  Overridable
-  /// by SYNCPAT_BUS_DISCIPLINE (strict).  Round-robin is byte-identical to
-  /// the historical hardwired arbiter.
+  /// Bus service discipline (see bus/service_discipline.hpp).  Round-robin
+  /// is byte-identical to the historical hardwired arbiter.
   bus::DisciplineKind bus_discipline = bus::DisciplineKind::kRoundRobin;
 
-  /// Memory cost model (see MemModelKind).  Overridable by SYNCPAT_MODEL
-  /// (strict).  `dsm` is only consulted when model == kDsm.
+  /// Memory cost model (see MemModelKind).  `dsm` is only consulted when
+  /// model == kDsm.
   MemModelKind model = MemModelKind::kBus;
   DsmConfig dsm;
 
@@ -124,8 +101,8 @@ struct MachineConfig {
   /// disabled ones (fuzz oracle #7 proves it).
   obs::MetricsConfig metrics;
 
-  /// Execution engine (see EngineKind).  Overridable by SYNCPAT_ENGINE
-  /// ("des"/"tick", strict).  The invariant checker runs on either engine.
+  /// Execution engine (see EngineKind).  The invariant checker runs on
+  /// either engine.
   EngineKind engine = EngineKind::kDes;
 
   /// Hard simulation bound; exceeded means a deadlock or runaway workload.
@@ -136,8 +113,7 @@ struct MachineConfig {
     return (cache.line_bytes + bus_bytes - 1) / bus_bytes;
   }
 
-  /// Multi-line description in the spirit of Figure 1 (used by the
-  /// bench_figure1_architecture target).
+  /// Multi-line description in the spirit of Figure 1.
   [[nodiscard]] std::string describe() const;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/invariant_checker.hpp"
 #include "util/assert.hpp"
@@ -40,11 +38,9 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
       memory_(config.memory),
       des_due_(static_cast<std::uint32_t>(program.num_procs())) {
   SYNCPAT_ASSERT(program.num_procs() > 0);
-  discipline_ = bus::make_discipline(
-      resolve_bus_discipline_from_env(cfg_.bus_discipline), bus_.config().ports);
+  discipline_ = bus::make_discipline(cfg_.bus_discipline, bus_.config().ports);
   arb_order_.resize(bus_.config().ports);
   arb_req_.resize(bus_.config().ports);
-  mem_model_ = resolve_mem_model_from_env(cfg_.model);
   SYNCPAT_ASSERT(cfg_.dsm.nodes > 0);
   dsm_procs_per_node_ =
       (static_cast<std::uint32_t>(program.num_procs()) + cfg_.dsm.nodes - 1) /
@@ -81,13 +77,8 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
       }
     }
   }
-  // One observer slot: both consumers dispatch inside on_occupied.
-  if (metrics_ != nullptr ||
-      (recorder_ != nullptr && recorder_->wants(obs::category::kBus))) {
-    bus_.set_observer(this);
-  }
-  engine_ = resolve_engine_from_env(cfg_.engine);
-  des_stats_.enabled = engine_ == EngineKind::kDes;
+  observe_bus_ = metrics_ != nullptr || tracing(obs::category::kBus);
+  des_stats_.enabled = cfg_.engine == EngineKind::kDes;
   des_acct_.assign(nprocs, 0);
   des_words_ = (nprocs + 63) / 64;
   des_due_now_.assign(des_words_, 0);
@@ -108,7 +99,7 @@ bool Simulator::all_done() const {
 SimulationResult Simulator::run() {
   const std::int64_t loop_t0 =
       self_prof_ != nullptr ? obs::SelfProfiler::now_ns() : 0;
-  if (engine_ == EngineKind::kDes) {
+  if (cfg_.engine == EngineKind::kDes) {
     run_des();
   } else {
     while (!all_done()) step();
@@ -530,7 +521,7 @@ std::uint32_t Simulator::dsm_extra_cycles(std::uint32_t line_addr,
                                           std::int32_t requester) const {
   // Reflections and memory-internal work (requester < 0) are directory-local;
   // only processor requests whose home node differs pay the remote hop.
-  if (mem_model_ != MemModelKind::kDsm || requester < 0) return 0;
+  if (cfg_.model != MemModelKind::kDsm || requester < 0) return 0;
   const std::uint32_t home = dsm_home_of(line_addr);
   const std::uint32_t node = dsm_node_of(static_cast<std::uint32_t>(requester));
   return home == node ? 0 : cfg_.dsm.remote_access_cycles;
@@ -592,6 +583,7 @@ void Simulator::arbitrate() {
       response->phase = TxnPhase::kOnBusResp;
       discipline_->record_grant(port, cycle_ - response->issued_cycle, true);
       bus_.occupy(response, bus_.config().data_cycles);
+      if (observe_bus_) on_bus_tenure(*response, bus_.config().data_cycles);
       return;
     }
     if (try_grant(port)) return;
@@ -676,6 +668,7 @@ bool Simulator::try_grant(std::uint32_t port) {
     }
   }
   bus_.occupy(txn, occupancy);
+  if (observe_bus_) on_bus_tenure(*txn, occupancy);
 
   switch (txn->kind) {
     case TxnKind::kRead: ++traffic_.reads; break;
@@ -993,9 +986,8 @@ void Simulator::begin_lock_release(std::uint32_t proc, std::uint32_t lock_line) 
   scheme_->begin_release(proc, lock_line);
 }
 
-void Simulator::on_occupied(const bus::Transaction& txn, std::uint32_t cycles) {
-  // Registered while bus tracing or metrics are on; dispatch to whichever
-  // consumers exist.
+void Simulator::on_bus_tenure(const bus::Transaction& txn,
+                              std::uint32_t cycles) {
   if (metrics_ != nullptr) metrics_->bus().add(cycle_, cycles);
   if (tracing(obs::category::kBus)) {
     // Bit 8 of the payload distinguishes the split-transaction response

@@ -49,7 +49,7 @@ struct DesStats {
   std::uint64_t span_cycles = 0;     // cycles covered by those advances
 };
 
-class Simulator final : public sync::SchemeServices, public bus::BusObserver {
+class Simulator final : public sync::SchemeServices {
  public:
   /// The program trace must outlive the simulator; sources are reset on
   /// construction.
@@ -59,9 +59,8 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Runs to completion of every processor's trace on the resolved engine
-  /// (config().engine, overridable by SYNCPAT_ENGINE).  The DES core and the
-  /// per-cycle tick loop produce byte-identical results.
+  /// Runs to completion of every processor's trace on config().engine.  The
+  /// DES core and the per-cycle tick loop produce byte-identical results.
   SimulationResult run();
 
   /// Single-step interface for tests.  Always advances exactly one cycle on
@@ -71,8 +70,8 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   [[nodiscard]] SimulationResult collect_results() const;
 
   [[nodiscard]] const DesStats& des_stats() const { return des_stats_; }
-  /// The engine run() will use (config + environment).
-  [[nodiscard]] EngineKind engine() const { return engine_; }
+  /// The engine run() will use.
+  [[nodiscard]] EngineKind engine() const { return cfg_.engine; }
 
   // --- SchemeServices ------------------------------------------------------
   [[nodiscard]] std::uint64_t now() const override { return cycle_; }
@@ -120,12 +119,10 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
 
   // Introspection for tests/benches.
   [[nodiscard]] const bus::Bus& bus() const { return bus_; }
-  /// The service discipline the arbiter consults (config + environment).
+  /// The service discipline the arbiter consults.
   [[nodiscard]] const bus::ServiceDiscipline& bus_discipline() const {
     return *discipline_;
   }
-  /// The memory cost model in effect (config + environment).
-  [[nodiscard]] MemModelKind mem_model() const { return mem_model_; }
   /// DSM geometry helpers (meaningful under MemModelKind::kDsm; under the
   /// uniform bus model every access is "local").
   [[nodiscard]] std::uint32_t dsm_node_of(std::uint32_t proc) const {
@@ -167,8 +164,6 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
     self_prof_ = profiler;
   }
 
-  // --- bus::BusObserver (registered while bus tracing or metrics are on) ---
-  void on_occupied(const bus::Transaction& txn, std::uint32_t cycles) override;
   /// Replaces the lock scheme (tests only: lets test_invariants.cpp inject a
   /// deliberately-broken scheme to prove the checker fires).
   void set_scheme_for_test(std::unique_ptr<sync::LockScheme> scheme);
@@ -183,6 +178,10 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   void finalize(bus::Transaction* txn);
   void retire(bus::Transaction* txn);
   void notify_invalidation(std::uint32_t proc, std::uint32_t line_addr);
+  /// `txn` now holds the bus for `cycles` bus cycles: feeds the metrics bus
+  /// gauge and the bus trace.  Called after each Bus::occupy while
+  /// observe_bus_ is set.
+  void on_bus_tenure(const bus::Transaction& txn, std::uint32_t cycles);
   void check_progress();
   /// End-of-cycle invariant checks, shared by step() and step_des().  With a
   /// profiler attached, the checker's time moves out of the engine loop's
@@ -236,7 +235,6 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   // for stamp-aware disciplines, the per-port request view.
   std::vector<std::uint32_t> arb_order_;
   std::vector<bus::ArbRequest> arb_req_;
-  MemModelKind mem_model_ = MemModelKind::kBus;
   std::uint32_t dsm_procs_per_node_ = 1;
   /// Extra memory service cycles the DSM model charges a request by
   /// `requester` on `line_addr` (0 under the bus model, for reflections, and
@@ -250,6 +248,7 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   std::unique_ptr<obs::EventRecorder> recorder_;  // null unless trace.enabled
   std::shared_ptr<obs::MetricsRegistry> metrics_;  // null unless metrics.enabled
   obs::SelfProfiler* self_prof_ = nullptr;  // null unless a bench attached one
+  bool observe_bus_ = false;  // metrics or bus tracing on: call on_bus_tenure
 
   /// recorder_ is live and the category is unmasked.
   [[nodiscard]] bool tracing(std::uint32_t cat) const {
@@ -273,7 +272,6 @@ class Simulator final : public sync::SchemeServices, public bus::BusObserver {
   std::vector<std::uint32_t> spin_line_;        // per proc; 0 = not spinning
   std::vector<std::uint32_t> outstanding_fence_;  // per proc
 
-  EngineKind engine_ = EngineKind::kDes;
   DesStats des_stats_;
 
   // --- discrete-event core state -------------------------------------------

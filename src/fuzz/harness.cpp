@@ -28,12 +28,7 @@ HarnessReport run_fuzz(const HarnessOptions& opt, std::ostream& out) {
   const Oracle oracle = bind_oracle(opt);
   HarnessReport report;
 
-  out << "syncpat_fuzz: seed " << opt.seed << ", " << opt.cases
-      << " cases, oracles [invariants=" << opt.oracles.check_invariants
-      << " engine=" << opt.oracles.check_engine
-      << " jobs=" << opt.oracles.check_jobs
-      << " trace-roundtrip=" << opt.oracles.check_trace_roundtrip
-      << " conservation=" << opt.oracles.check_conservation << "]\n";
+  out << "syncpat_fuzz: seed " << opt.seed << ", " << opt.cases << " cases\n";
 
   for (std::uint64_t i = 0; i < opt.cases; ++i) {
     const FuzzCase c = FuzzCase::generate(opt.seed, i);

@@ -38,7 +38,8 @@ std::string first_diff(const std::string& a, const std::string& b) {
   }
 }
 
-void check_trace_roundtrip(OracleVerdict& v, trace::ProgramTrace& program) {
+void check_save_load_roundtrip(OracleVerdict& v,
+                                trace::ProgramTrace& program) {
   std::stringstream first;
   trace::write_program_trace(first, program);
   trace::ProgramTrace loaded = trace::read_program_trace(first);
@@ -197,73 +198,59 @@ OracleVerdict run_oracles(const FuzzCase& c, const OracleOptions& opt) {
   const core::MachineConfig base = c.machine_config();
   trace::ProgramTrace program = workload::make_program_trace(profile);
 
-  if (opt.check_trace_roundtrip) check_trace_roundtrip(v, program);
+  check_save_load_roundtrip(v, program);
 
-  if (opt.check_conservation) {
-    // Trace-side conservation: every acquire matched by a release on the same
-    // lock, nothing held at end of trace, barrier sequences agree.
-    program.reset_all();
-    const trace::ValidationReport report = trace::validate_program(program);
-    if (!report.ok()) {
-      fail(v, "conservation", "generated trace invalid: " +
-                                  report.to_string(/*max_errors=*/3));
-    }
+  // Trace-side conservation: every acquire matched by a release on the same
+  // lock, nothing held at end of trace, barrier sequences agree.
+  program.reset_all();
+  const trace::ValidationReport report = trace::validate_program(program);
+  if (!report.ok()) {
+    fail(v, "conservation",
+         "generated trace invalid: " + report.to_string(/*max_errors=*/3));
   }
 
-  // Reference run: the DES core (pinned explicitly), invariant checker
-  // (optionally) live, lock tracing on so hand-off/acquire event counts can
-  // be conserved against the stats aggregates.
+  // Reference run: the DES core (pinned explicitly), invariant checker live,
+  // lock tracing on so hand-off/acquire event counts can be conserved against
+  // the stats aggregates.
   core::MachineConfig ref_cfg = base;
-  ref_cfg.invariants.enabled = opt.check_invariants;
+  ref_cfg.invariants.enabled = true;
   ref_cfg.engine = core::EngineKind::kDes;
-  ref_cfg.trace.enabled = opt.check_conservation;
+  ref_cfg.trace.enabled = true;
   ref_cfg.trace.categories = obs::category::kLocks;
-  ref_cfg.metrics.enabled = opt.check_metrics;
+  ref_cfg.metrics.enabled = true;
   program.reset_all();
   core::Simulator ref_sim(ref_cfg, program);
   obs::LockTimelineSink timeline;
   if (obs::EventRecorder* rec = ref_sim.recorder()) rec->add_sink(&timeline);
   const core::SimulationResult ref = ref_sim.run();
 
-  if (opt.check_invariants) {
-    const core::InvariantChecker* checker = ref_sim.invariant_checker();
-    if (checker != nullptr && !checker->ok()) {
-      fail(v, "invariants",
-           std::to_string(checker->violation_count()) +
-               " violation(s); first: " +
-               (checker->violations().empty() ? "<none recorded>"
-                                              : checker->violations()[0]));
-    }
+  const core::InvariantChecker* checker = ref_sim.invariant_checker();
+  if (!checker->ok()) {
+    fail(v, "invariants",
+         std::to_string(checker->violation_count()) + " violation(s); first: " +
+             (checker->violations().empty() ? "<none recorded>"
+                                            : checker->violations()[0]));
   }
 
-  if (opt.check_conservation) {
-    check_sim_conservation(v, ref, timeline.take(ref.run_time));
+  check_sim_conservation(v, ref, timeline.take(ref.run_time));
+  check_metrics_conservation(v, ref_sim);
+
+  // Differential #7: plain per-cycle ticking (checker, tracing and metrics
+  // off) vs the reference run.  Byte-identity simultaneously proves DES
+  // equivalence and that the checker, the recorder and the metrics registry
+  // never perturb a result.
+  core::MachineConfig tick_cfg = base;
+  tick_cfg.engine = core::EngineKind::kTick;
+  program.reset_all();
+  core::Simulator tick_sim(tick_cfg, program);
+  const std::string a = render_result(tick_sim.run());
+  const std::string b = render_result(ref);
+  if (a != b) {
+    fail(v, "engine",
+         "per-cycle tick vs DES results diverge at " + first_diff(a, b));
   }
 
-  if (opt.check_metrics) {
-    check_metrics_conservation(v, ref_sim);
-  }
-
-  if (opt.check_engine) {
-    // Differential #7: plain per-cycle ticking (checker, tracing and metrics
-    // off) vs the reference run.  Byte-identity simultaneously proves DES
-    // equivalence and that the checker, the recorder and the metrics
-    // registry never perturb a result.
-    core::MachineConfig tick_cfg = base;
-    tick_cfg.engine = core::EngineKind::kTick;
-    program.reset_all();
-    core::Simulator tick_sim(tick_cfg, program);
-    const std::string a = render_result(tick_sim.run());
-    const std::string b = render_result(ref);
-    if (a != b) {
-      fail(v, "engine",
-           "per-cycle tick vs DES results diverge at " + first_diff(a, b));
-    }
-  }
-
-  if (opt.check_jobs) {
-    check_jobs_differential(v, c, base, profile, opt.jobs);
-  }
+  check_jobs_differential(v, c, base, profile, opt.jobs);
   return v;
 }
 

@@ -41,13 +41,8 @@
 
 namespace syncpat::fuzz {
 
+/// Every oracle always runs; only the jobs differential takes a parameter.
 struct OracleOptions {
-  bool check_invariants = true;
-  bool check_engine = true;
-  bool check_jobs = true;
-  bool check_trace_roundtrip = true;
-  bool check_conservation = true;
-  bool check_metrics = true;
   /// Worker count for the parallel side of the jobs differential.
   std::uint32_t jobs = 3;
 };

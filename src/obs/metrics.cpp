@@ -4,11 +4,9 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/assert.hpp"
-#include "util/parse.hpp"
 
 namespace syncpat::obs {
 
@@ -267,12 +265,6 @@ std::string render_metrics(const MetricsRegistry& m, const MetricsMeta& meta,
                            MetricsFormat format) {
   return format == MetricsFormat::kJson ? metrics_to_json(m, meta)
                                         : metrics_to_csv(m, meta);
-}
-
-bool metrics_enabled_from_env(bool fallback) {
-  const char* env = std::getenv("SYNCPAT_METRICS");
-  if (env == nullptr) return fallback;
-  return util::parse_bool01(env, "SYNCPAT_METRICS");
 }
 
 }  // namespace syncpat::obs

@@ -130,9 +130,4 @@ enum class MetricsFormat : std::uint8_t { kJson, kCsv };
                                          const MetricsMeta& meta,
                                          MetricsFormat format);
 
-/// SYNCPAT_METRICS override: "1" forces metrics on, "0" forces them off,
-/// unset keeps `fallback`.  Any other value throws std::invalid_argument
-/// (via util::parse_bool01 — never a silent default).
-[[nodiscard]] bool metrics_enabled_from_env(bool fallback);
-
 }  // namespace syncpat::obs

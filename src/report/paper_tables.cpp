@@ -1,7 +1,12 @@
 #include "report/paper_tables.hpp"
 
+#include <ostream>
+#include <utility>
+
+#include "report/per_lock.hpp"
 #include "util/assert.hpp"
 #include "util/format.hpp"
+#include "workload/profiles.hpp"
 
 namespace syncpat::report {
 
@@ -57,6 +62,36 @@ const PaperReference* find_ref(const std::string& name) {
 std::string scaled_k(double value, std::uint64_t scale) {
   return with_commas(static_cast<std::uint64_t>(value * static_cast<double>(scale) /
                                                 1000.0));
+}
+
+bool uses_locks(const workload::BenchmarkProfile& profile) {
+  return profile.locking.pairs_per_proc > 0;
+}
+
+/// The outcome of `program`'s cell under `scheme` and `model`, if the run
+/// has one.
+const core::ExperimentOutcome* find_outcome(const core::GridResult& run,
+                                            const std::string& program,
+                                            sync::SchemeKind scheme,
+                                            bus::ConsistencyModel model) {
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const core::ExperimentCell& cell = run.cells[i];
+    if (cell.profile.name == program && cell.config.lock_scheme == scheme &&
+        cell.config.consistency == model) {
+      return &run.results[i].outcome;
+    }
+  }
+  return nullptr;
+}
+
+void print_transfer_latencies(const std::vector<core::SimulationResult>& rs,
+                              std::ostream& out) {
+  out << "Average lock transfer time (release -> next acquire, cycles):\n";
+  for (const auto& r : rs) {
+    if (r.locks.transfers == 0) continue;
+    out << "  " << r.program << ": " << r.locks.transfer_cycles.mean() << "\n";
+  }
+  out << "\n";
 }
 
 }  // namespace
@@ -196,6 +231,112 @@ Table table7_weak(const std::vector<core::SimulationResult>& weak,
   t.note("Diff% is the decrease in execution time versus the sequentially "
          "consistent run");
   return t;
+}
+
+std::vector<core::ExperimentCell> paper_cells(const core::MachineConfig& base,
+                                              std::uint64_t scale) {
+  core::ExperimentGrid queuing;
+  queuing.base = base;
+  queuing.profiles = workload::paper_profiles();
+  queuing.schemes = {sync::SchemeKind::kQueuing};
+  queuing.consistency_models = {bus::ConsistencyModel::kSequential,
+                                bus::ConsistencyModel::kWeak};
+  queuing.scales = {scale};
+
+  core::ExperimentGrid ttas = queuing;
+  ttas.profiles.clear();
+  for (const workload::BenchmarkProfile& profile : queuing.profiles) {
+    if (uses_locks(profile)) ttas.profiles.push_back(profile);
+  }
+  ttas.schemes = {sync::SchemeKind::kTtas};
+  ttas.consistency_models = {bus::ConsistencyModel::kSequential};
+
+  std::vector<core::ExperimentCell> cells = core::grid_cells(queuing);
+  for (core::ExperimentCell& cell : core::grid_cells(ttas)) {
+    cells.push_back(std::move(cell));
+  }
+  return cells;
+}
+
+void print_paper_tables(const core::GridResult& run, std::ostream& out) {
+  SYNCPAT_ASSERT(run.size() > 0);
+  const std::uint64_t scale = run.cells.front().scale;
+  using bus::ConsistencyModel;
+  using sync::SchemeKind;
+
+  std::vector<trace::IdealProgramStats> ideal;
+  std::vector<core::SimulationResult> queuing, weak, ttas, ttas_baseline;
+  const core::ExperimentOutcome* grav = nullptr;
+  for (const workload::BenchmarkProfile& profile : workload::paper_profiles()) {
+    const core::ExperimentOutcome* q = find_outcome(
+        run, profile.name, SchemeKind::kQueuing, ConsistencyModel::kSequential);
+    const core::ExperimentOutcome* w = find_outcome(
+        run, profile.name, SchemeKind::kQueuing, ConsistencyModel::kWeak);
+    if (q == nullptr || w == nullptr) continue;
+    ideal.push_back(q->ideal);
+    queuing.push_back(q->sim);
+    weak.push_back(w->sim);
+    if (profile.name == "Grav") grav = q;
+    const core::ExperimentOutcome* t = find_outcome(
+        run, profile.name, SchemeKind::kTtas, ConsistencyModel::kSequential);
+    if (t != nullptr && uses_locks(profile)) {
+      ttas.push_back(t->sim);
+      ttas_baseline.push_back(q->sim);
+    }
+  }
+
+  table1_ideal(ideal, scale).print(out);
+  out << "\n";
+  table2_ideal_locks(ideal, scale).print(out);
+  out << "\n";
+  table_runtime(3, queuing, scale).print(out);
+  out << "\n";
+
+  table_contention(4, queuing, scale).print(out);
+  print_transfer_latencies(queuing, out);
+  out << "(paper: queuing-lock transfers take ~1.2-1.5 cycles)\n\n";
+  // The paper attributes Grav/Pdsa contention to the dominant Presto
+  // scheduler lock (§2.3).
+  if (grav != nullptr) {
+    out << "Grav breakdown (lock 0 is the scheduler lock, lock 1 the nested "
+           "thread-queue lock):\n";
+    per_lock_table(grav->per_lock, 6).print(out);
+  }
+  out << "\n";
+
+  table_runtime(5, ttas, scale).print(out);
+  out << "Run-time increase vs queuing locks (paper: Grav +8.0%, Pdsa +8.1%, "
+         "others ~0%):\n";
+  for (std::size_t i = 0; i < ttas.size(); ++i) {
+    const double pct = -ttas[i].runtime_change_pct(ttas_baseline[i]);
+    out << "  " << ttas[i].program << ": " << (pct >= 0 ? "+" : "") << pct
+        << "%\n";
+  }
+  out << "\nBus utilization, queuing -> T&T&S (paper: Grav doubles, Pdsa "
+         "+40%):\n";
+  for (std::size_t i = 0; i < ttas.size(); ++i) {
+    out << "  " << ttas[i].program << ": "
+        << 100.0 * ttas_baseline[i].bus_utilization << "% -> "
+        << 100.0 * ttas[i].bus_utilization << "%\n";
+  }
+  out << "\n";
+
+  table_contention(6, ttas, scale).print(out);
+  print_transfer_latencies(ttas, out);
+  out << "(paper: with many waiters a T&T&S transfer takes ~21-25 cycles)\n\n";
+
+  table7_weak(weak, queuing, scale).print(out);
+  out << "Syncs that found unfinished buffered accesses (paper: \"almost "
+         "never\"):\n";
+  for (const auto& r : weak) {
+    if (r.syncs == 0) continue;
+    out << "  " << r.program << ": " << r.syncs_with_pending << " of "
+        << r.syncs << " syncs\n";
+  }
+  out << "\n";
+
+  table_contention(8, weak, scale).print(out);
+  print_transfer_latencies(weak, out);
 }
 
 }  // namespace syncpat::report

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
+#include "core/experiment_engine.hpp"
 #include "core/results.hpp"
 #include "report/table.hpp"
 #include "trace/analyzer.hpp"
@@ -55,5 +57,20 @@ Table table_contention(int which,
 Table table7_weak(const std::vector<core::SimulationResult>& weak,
                   const std::vector<core::SimulationResult>& sequential,
                   std::uint64_t scale);
+
+/// The 17 cells the paper's tables read, at trace scale `scale`: all six
+/// programs under queuing/SC (Tables 1-4) and queuing/WO (7-8), and the five
+/// lock-using ones under T&T&S/SC (5-6).  `base` supplies every other
+/// machine parameter.
+[[nodiscard]] std::vector<core::ExperimentCell> paper_cells(
+    const core::MachineConfig& base, std::uint64_t scale);
+
+/// Tables 1-8 with their comparison lines, each block separated from the
+/// next by a blank line.  Every table reads the
+/// run's cells by configuration, in paper-program order: queuing/SC feeds
+/// Tables 1-4 (1-2 from the cells' ideal analysis, 4's Grav breakdown from
+/// Grav's per-lock records), T&T&S/SC Tables 5-6 and queuing/WO Tables 7-8.
+/// Other cells are ignored, and Table 5 skips lock-free programs.
+void print_paper_tables(const core::GridResult& run, std::ostream& out);
 
 }  // namespace syncpat::report

@@ -8,11 +8,10 @@
 
 namespace syncpat::report {
 
-Table per_lock_table(const sync::LockStatsCollector& stats,
-                     std::size_t max_rows) {
+Table per_lock_table(const sync::LockRecords& records, std::size_t max_rows) {
   std::vector<std::pair<std::uint32_t, const sync::LockAggregate*>> locks;
-  locks.reserve(stats.per_lock().size());
-  for (const auto& [line, agg] : stats.per_lock()) {
+  locks.reserve(records.size());
+  for (const auto& [line, agg] : records) {
     locks.emplace_back(line, &agg);
   }
   std::sort(locks.begin(), locks.end(), [](const auto& a, const auto& b) {

@@ -11,8 +11,10 @@
 namespace syncpat::report {
 
 /// Top `max_rows` locks by acquisition count: address, acquisitions,
-/// transfers, waiters at transfer, mean hold, mean transfer latency.
-[[nodiscard]] Table per_lock_table(const sync::LockStatsCollector& stats,
+/// transfers, waiters at transfer, mean hold, mean transfer latency.  Reads
+/// a simulator's LockStatsCollector::per_lock() or a grid cell's
+/// ExperimentOutcome::per_lock.
+[[nodiscard]] Table per_lock_table(const sync::LockRecords& records,
                                    std::size_t max_rows = 8);
 
 }  // namespace syncpat::report

@@ -36,6 +36,9 @@ struct LockAggregate {
   util::Histogram waiters_at_acquire;      // others still waiting, per acquisition
 };
 
+/// One LockAggregate per lock, keyed by the lock's line address.
+using LockRecords = std::unordered_map<std::uint32_t, LockAggregate>;
+
 class LockStatsCollector {
  public:
   /// Processor `proc` now owns the lock.  `waiters_now` is the number of
@@ -64,10 +67,7 @@ class LockStatsCollector {
   void set_recorder(obs::EventRecorder* recorder) { recorder_ = recorder; }
 
   [[nodiscard]] const LockAggregate& total() const { return total_; }
-  [[nodiscard]] const std::unordered_map<std::uint32_t, LockAggregate>& per_lock()
-      const {
-    return per_lock_;
-  }
+  [[nodiscard]] const LockRecords& per_lock() const { return per_lock_; }
 
  private:
   struct Live {
@@ -79,7 +79,7 @@ class LockStatsCollector {
   };
 
   LockAggregate total_;
-  std::unordered_map<std::uint32_t, LockAggregate> per_lock_;
+  LockRecords per_lock_;
   std::unordered_map<std::uint32_t, Live> live_;
   obs::EventRecorder* recorder_ = nullptr;
 };

@@ -45,12 +45,6 @@ std::uint64_t parse_positive_u64(std::string_view text, std::string_view what) {
   return value;
 }
 
-bool parse_bool01(std::string_view text, std::string_view what) {
-  if (text == "1") return true;
-  if (text == "0") return false;
-  reject(text, what, "\"0\" or \"1\"");
-}
-
 std::uint32_t parse_u32(std::string_view text, std::string_view what) {
   std::uint64_t value = 0;
   if (!try_parse_u64(text, value) ||

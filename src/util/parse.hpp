@@ -27,11 +27,6 @@ namespace syncpat::util {
 [[nodiscard]] std::uint64_t parse_positive_u64(std::string_view text,
                                                std::string_view what);
 
-/// Strict boolean knob: "1" -> true, "0" -> false, anything else throws
-/// std::invalid_argument naming `what` (no "true"/"yes"/empty shorthands —
-/// one spelling per value, same as the integer knobs).
-[[nodiscard]] bool parse_bool01(std::string_view text, std::string_view what);
-
 /// 32-bit variants for config knobs stored as u32 (also rejects > 2^32-1).
 [[nodiscard]] std::uint32_t parse_u32(std::string_view text,
                                       std::string_view what);

@@ -6,13 +6,8 @@
 // reordered or double-counted sample — is rendered with hexfloat precision
 // (fuzz::render_result, shared with the fuzzing harness) and compared as a
 // string so nothing is hidden by rounding.
-//
-// Also covers the engine-selection surface: the --engine/SYNCPAT_ENGINE
-// override and strict rejection of malformed values.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "bus/interface.hpp"
@@ -64,18 +59,11 @@ RunOutput run_once(const workload::BenchmarkProfile& scaled,
   return out;
 }
 
-class EngineDifferential : public ::testing::Test {
- protected:
-  // The config field must control the engine: a value inherited from the
-  // calling environment would override it for every run.
-  void SetUp() override { unsetenv("SYNCPAT_ENGINE"); }
-};
-
 // The engine matrix: every lock scheme x 2 consistency models x 2 write
 // policies, each run three ways — DES, per-cycle tick, and DES with the
 // invariant checker attached.  The checked arm proves the checker is a
 // non-perturbing observer of the production engine with nothing to report.
-TEST_F(EngineDifferential, ByteIdenticalAcrossSchemesModelsAndPolicies) {
+TEST(EngineDifferential, ByteIdenticalAcrossSchemesModelsAndPolicies) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Grav").scaled(kScale);
   std::uint64_t total_spans = 0;
@@ -120,7 +108,7 @@ TEST_F(EngineDifferential, ByteIdenticalAcrossSchemesModelsAndPolicies) {
   EXPECT_GT(total_spans, 0u);
 }
 
-TEST_F(EngineDifferential, DesSkipsMostCyclesOnCoarseGrainedWork) {
+TEST(EngineDifferential, DesSkipsMostCyclesOnCoarseGrainedWork) {
   // Long compute gaps between references: the event queue should jump the
   // gaps and make stepped cycles a small minority.
   workload::BenchmarkProfile coarse = profile_by_name("Grav");
@@ -138,7 +126,7 @@ TEST_F(EngineDifferential, DesSkipsMostCyclesOnCoarseGrainedWork) {
 
 // The checker runs on whichever engine is configured: on DES it checks at
 // every event cycle, the only cycles where the state it reads can change.
-TEST_F(EngineDifferential, InvariantCheckerKeepsConfiguredEngine) {
+TEST(EngineDifferential, InvariantCheckerKeepsConfiguredEngine) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Pverify").scaled(kScale * 4);
   core::MachineConfig cfg;
@@ -153,52 +141,6 @@ TEST_F(EngineDifferential, InvariantCheckerKeepsConfiguredEngine) {
     EXPECT_GT(checked.checks, 0u) << core::engine_name(engine);
     EXPECT_EQ(checked.violations, 0u) << core::engine_name(engine);
   }
-}
-
-TEST_F(EngineDifferential, EngineEnvOverridesConfig) {
-  const workload::BenchmarkProfile scaled =
-      profile_by_name("Pverify").scaled(kScale * 4);
-  core::MachineConfig cfg;
-  cfg.lock_scheme = sync::SchemeKind::kTtas;
-
-  setenv("SYNCPAT_ENGINE", "tick", 1);
-  const RunOutput forced_tick = run_once(scaled, cfg, core::EngineKind::kDes);
-  EXPECT_EQ(forced_tick.engine, core::EngineKind::kTick);
-  EXPECT_FALSE(forced_tick.des.enabled);
-
-  setenv("SYNCPAT_ENGINE", "des", 1);
-  const RunOutput forced_des = run_once(scaled, cfg, core::EngineKind::kTick);
-  EXPECT_EQ(forced_des.engine, core::EngineKind::kDes);
-  EXPECT_TRUE(forced_des.des.enabled);
-
-  unsetenv("SYNCPAT_ENGINE");
-  EXPECT_EQ(forced_tick.rendered, forced_des.rendered);
-}
-
-// A malformed SYNCPAT_ENGINE value is a configuration error, never silently
-// ignored.
-TEST_F(EngineDifferential, MalformedEnvValuesAreRejected) {
-  using core::EngineKind;
-  using core::resolve_engine;
-  for (const char* junk : {"fast", "DES", "", "0", "1", "tick "}) {
-    EXPECT_THROW((void)resolve_engine(EngineKind::kDes, junk),
-                 std::invalid_argument)
-        << '"' << junk << '"';
-  }
-}
-
-TEST_F(EngineDifferential, ResolveEngineAliasingTable) {
-  using core::EngineKind;
-  using core::resolve_engine;
-
-  // No environment: the config decides.
-  EXPECT_EQ(resolve_engine(EngineKind::kDes, nullptr), EngineKind::kDes);
-  EXPECT_EQ(resolve_engine(EngineKind::kTick, nullptr), EngineKind::kTick);
-
-  // SYNCPAT_ENGINE set: it wins over the config either way.
-  EXPECT_EQ(resolve_engine(EngineKind::kDes, "tick"), EngineKind::kTick);
-  EXPECT_EQ(resolve_engine(EngineKind::kTick, "des"), EngineKind::kDes);
-  EXPECT_EQ(resolve_engine(EngineKind::kDes, "des"), EngineKind::kDes);
 }
 
 }  // namespace

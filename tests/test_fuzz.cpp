@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -214,22 +213,15 @@ TEST(FuzzHarness, ReplayThrowsOnMissingFile) {
 // The real oracle battery, on a handful of seeded cases.  (The 200-case batch
 // runs as the fuzz-smoke ctest; this keeps a taste of it inside the unit
 // suite so `ctest -R Fuzz` exercises the real pipeline too.)
-class FuzzRealOracles : public ::testing::Test {
- protected:
-  // cfg.engine drives the engine differential; an inherited env override
-  // would collapse both arms to the same engine.
-  void SetUp() override { unsetenv("SYNCPAT_ENGINE"); }
-};
-
-TEST_F(FuzzRealOracles, SeededCasesRunClean) {
+TEST(FuzzRealOracles, SeededCasesRunClean) {
   for (std::uint64_t i = 0; i < 3; ++i) {
     const FuzzCase c = FuzzCase::generate(0x5eed, i);
-    const OracleVerdict v = run_oracles(c, OracleOptions{});
+    const OracleVerdict v = run_oracles(c);
     EXPECT_TRUE(v.ok()) << c.describe() << ": " << v.failed_oracles();
   }
 }
 
-TEST_F(FuzzRealOracles, WriteThroughEndOfTraceCycleIsConserved) {
+TEST(FuzzRealOracles, WriteThroughEndOfTraceCycleIsConserved) {
   // Regression for a latent accounting bug the fuzzer caught: a sequential
   // write-through store absorbed by memory finalizes *before* processors tick
   // (Simulator::step order), so a trace ending on such a store stamped
@@ -247,11 +239,7 @@ TEST_F(FuzzRealOracles, WriteThroughEndOfTraceCycleIsConserved) {
   c.refs_per_proc = 491;
   c.write_fraction = 0.41;
   c.lock_pairs = 5;
-  OracleOptions only_conservation;
-  only_conservation.check_invariants = false;
-  only_conservation.check_jobs = false;
-  only_conservation.check_trace_roundtrip = false;
-  const OracleVerdict v = run_oracles(c, only_conservation);
+  const OracleVerdict v = run_oracles(c);
   EXPECT_TRUE(v.ok()) << v.failed_oracles();
 }
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -64,20 +63,10 @@ std::uint64_t total_of(const obs::MetricsRegistry& m, StallCat cat) {
   return sum;
 }
 
-class MetricsConservation : public ::testing::Test {
- protected:
-  // cfg.engine must control the engine (same reasoning as the engine
-  // differential), and SYNCPAT_METRICS must not leak in.
-  void SetUp() override {
-    unsetenv("SYNCPAT_ENGINE");
-    unsetenv("SYNCPAT_METRICS");
-  }
-};
-
 // Ledger conservation across every machine variant, plus export
 // byte-identity between execution engines (metrics must not observe the
 // engine's stepping strategy: DES or per-cycle tick).
-TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
+TEST(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Grav").scaled(64);
   for (const sync::SchemeKind scheme : sync::all_scheme_kinds()) {
@@ -119,11 +108,9 @@ TEST_F(MetricsConservation, HoldsAcrossSchemesModelsAndPolicies) {
   }
 }
 
-class MetricsMicro : public MetricsConservation {};
-
 // Two processors fighting over one lock: the loser's cycles land in the
 // lock-wait categories and the hand-off shows up in the lock histograms.
-TEST_F(MetricsMicro, SingleLockHandoff) {
+TEST(MetricsMicro, SingleLockHandoff) {
   trace::ProgramTrace program = make_program({
       {lock_acq(0, 1), ifetch(0x100, 40), lock_rel(0, 1), ifetch(0x140, 2)},
       {lock_acq(0, 2), ifetch(0x100, 40), lock_rel(0, 1), ifetch(0x140, 2)},
@@ -150,7 +137,7 @@ TEST_F(MetricsMicro, SingleLockHandoff) {
 }
 
 // Barrier-only workload: wait cycles are barrier cycles, never lock cycles.
-TEST_F(MetricsMicro, BarrierOnly) {
+TEST(MetricsMicro, BarrierOnly) {
   auto barrier = [](std::uint32_t gap) {
     return trace::Event{trace::AddressMap::barrier_addr(0), gap,
                         trace::Op::kBarrier};
@@ -175,7 +162,7 @@ TEST_F(MetricsMicro, BarrierOnly) {
 
 // A store burst under weak ordering saturates the write buffer: the stall
 // cycles must be charged to write_buffer_full, not memory latency.
-TEST_F(MetricsMicro, WriteBufferSaturation) {
+TEST(MetricsMicro, WriteBufferSaturation) {
   std::vector<trace::Event> events;
   for (std::uint32_t i = 0; i < 32; ++i) {
     events.push_back(store(shared_line(i), 1));
@@ -197,7 +184,7 @@ TEST_F(MetricsMicro, WriteBufferSaturation) {
 
 // Per-cell metrics bytes must be identical whatever the engine's job count
 // (the jobs-differential guarantee extended to the metrics export).
-TEST_F(MetricsConservation, ExportBytesIdenticalAcrossJobCounts) {
+TEST(MetricsConservation, ExportBytesIdenticalAcrossJobCounts) {
   core::ExperimentGrid grid;
   grid.base.metrics.enabled = true;
   grid.profiles = {workload::qsort_profile(), workload::fullconn_profile()};
@@ -225,7 +212,7 @@ TEST_F(MetricsConservation, ExportBytesIdenticalAcrossJobCounts) {
   EXPECT_EQ(a, b);
 }
 
-class MetricsLedger : public MetricsConservation {
+class MetricsLedger : public ::testing::Test {
  protected:
   /// One scale-64 paper-profile cell, run to completion on construction.
   struct Cell {
@@ -392,22 +379,6 @@ TEST(MetricsParse, FormatFollowsExtensionStrictly) {
                std::invalid_argument);
   EXPECT_THROW(static_cast<void>(obs::metrics_format_from_path("")),
                std::invalid_argument);
-}
-
-TEST(MetricsParse, EnvOverrideIsStrict) {
-  setenv("SYNCPAT_METRICS", "1", 1);
-  EXPECT_TRUE(obs::metrics_enabled_from_env(false));
-  setenv("SYNCPAT_METRICS", "0", 1);
-  EXPECT_FALSE(obs::metrics_enabled_from_env(true));
-  setenv("SYNCPAT_METRICS", "yes", 1);
-  EXPECT_THROW(static_cast<void>(obs::metrics_enabled_from_env(false)),
-               std::invalid_argument);
-  setenv("SYNCPAT_METRICS", "", 1);
-  EXPECT_THROW(static_cast<void>(obs::metrics_enabled_from_env(false)),
-               std::invalid_argument);
-  unsetenv("SYNCPAT_METRICS");
-  EXPECT_TRUE(obs::metrics_enabled_from_env(true));
-  EXPECT_FALSE(obs::metrics_enabled_from_env(false));
 }
 
 TEST(MetricsBusGauge, SplitsTenuresAcrossWindows) {

@@ -62,17 +62,6 @@ std::string run_rendered(const workload::BenchmarkProfile& scaled,
   return fuzz::render_result(sim.run());
 }
 
-class ScalingDifferential : public ::testing::Test {
- protected:
-  // The config fields must control the axes under test; values inherited
-  // from the calling environment would silently override every run.
-  void SetUp() override {
-    unsetenv("SYNCPAT_ENGINE");
-    unsetenv("SYNCPAT_BUS_DISCIPLINE");
-    unsetenv("SYNCPAT_MODEL");
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Service disciplines x lock schemes x engines.
 // ---------------------------------------------------------------------------
@@ -81,7 +70,7 @@ class ScalingDifferential : public ::testing::Test {
 // string includes the discipline stats line, so a single grant awarded to a
 // different port — or a grant-wait accounted differently between the
 // engines — fails the comparison.
-TEST_F(ScalingDifferential, SchemeByDisciplineMatrixByteIdenticalAcrossEngines) {
+TEST(ScalingDifferential, SchemeByDisciplineMatrixByteIdenticalAcrossEngines) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Pverify").scaled(256);
   constexpr bus::DisciplineKind kDisciplines[] = {
@@ -111,7 +100,7 @@ TEST_F(ScalingDifferential, SchemeByDisciplineMatrixByteIdenticalAcrossEngines) 
 // The disciplines must actually differ observably — if fixed-priority or
 // FCFS rendered identically to round-robin on a contended workload, the
 // matrix above would be vacuously green.
-TEST_F(ScalingDifferential, DisciplinesProduceDistinctSchedules) {
+TEST(ScalingDifferential, DisciplinesProduceDistinctSchedules) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Pverify").scaled(256);
   core::MachineConfig cfg;
@@ -136,7 +125,7 @@ TEST_F(ScalingDifferential, DisciplinesProduceDistinctSchedules) {
 // disciplines with metrics conserved, while fixed-priority still pays a
 // visibly worse grant wait than the fair disciplines (the skew the
 // discipline exists to model).
-TEST_F(ScalingDifferential, FixedPriorityCompletesPlainTasWithBoundedWaits) {
+TEST(ScalingDifferential, FixedPriorityCompletesPlainTasWithBoundedWaits) {
   const char* kCase =
       "syncpat-fuzz-case 1\n"
       "index 3\nmaster_seed 24245\nnum_procs 4\nline_bytes 32\n"
@@ -196,7 +185,7 @@ TEST_F(ScalingDifferential, FixedPriorityCompletesPlainTasWithBoundedWaits) {
 // DSM memory model.
 // ---------------------------------------------------------------------------
 
-TEST_F(ScalingDifferential, DsmModelByteIdenticalAcrossEngines) {
+TEST(ScalingDifferential, DsmModelByteIdenticalAcrossEngines) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Pverify").scaled(256);
   for (const std::uint32_t nodes : {2u, 4u}) {
@@ -215,7 +204,7 @@ TEST_F(ScalingDifferential, DsmModelByteIdenticalAcrossEngines) {
 // A single-node DSM machine has no remote accesses at all, so it must be
 // byte-identical to the uniform bus model — the cost overlay is exactly the
 // remote penalty and nothing else.
-TEST_F(ScalingDifferential, SingleNodeDsmDegeneratesToBusModel) {
+TEST(ScalingDifferential, SingleNodeDsmDegeneratesToBusModel) {
   const workload::BenchmarkProfile scaled =
       profile_by_name("Pverify").scaled(256);
   core::MachineConfig cfg;
@@ -231,7 +220,7 @@ TEST_F(ScalingDifferential, SingleNodeDsmDegeneratesToBusModel) {
 // Multi-node DSM must charge remote-access stall cycles, attribute them to
 // the dedicated category, and keep the attribution ledger exact (every
 // processor cycle in exactly one category).
-TEST_F(ScalingDifferential, DsmChargesAndConservesRemoteAccessStalls) {
+TEST(ScalingDifferential, DsmChargesAndConservesRemoteAccessStalls) {
   workload::BenchmarkProfile scaled = profile_by_name("Pverify").scaled(256);
   core::MachineConfig cfg;
   cfg.num_procs = scaled.num_procs;
@@ -255,53 +244,20 @@ TEST_F(ScalingDifferential, DsmChargesAndConservesRemoteAccessStalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Environment spellings: SYNCPAT_BUS_DISCIPLINE / SYNCPAT_MODEL.
+// Name parsing behind --bus-discipline / --model.
 // ---------------------------------------------------------------------------
 
-TEST_F(ScalingDifferential, DisciplineAndModelEnvOverrideConfig) {
-  const workload::BenchmarkProfile scaled =
-      profile_by_name("Pverify").scaled(512);
-  core::MachineConfig cfg;
-  cfg.lock_scheme = sync::SchemeKind::kTtas;
-
-  cfg.bus_discipline = bus::DisciplineKind::kFcfs;
-  cfg.model = core::MemModelKind::kDsm;
-  cfg.dsm.nodes = 2;
-  const std::string direct = run_rendered(scaled, cfg, core::EngineKind::kDes);
-
-  cfg.bus_discipline = bus::DisciplineKind::kRoundRobin;
-  cfg.model = core::MemModelKind::kBus;
-  setenv("SYNCPAT_BUS_DISCIPLINE", "fcfs", 1);
-  setenv("SYNCPAT_MODEL", "dsm", 1);
-  const std::string via_env = run_rendered(scaled, cfg, core::EngineKind::kDes);
-  unsetenv("SYNCPAT_BUS_DISCIPLINE");
-  unsetenv("SYNCPAT_MODEL");
-  EXPECT_EQ(direct, via_env);
-}
-
-TEST_F(ScalingDifferential, MalformedDisciplineAndModelValuesAreRejected) {
-  using bus::DisciplineKind;
-  using core::MemModelKind;
-  EXPECT_THROW((void)core::resolve_bus_discipline(DisciplineKind::kRoundRobin,
-                                                  "priority"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)core::resolve_bus_discipline(DisciplineKind::kRoundRobin, ""),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)core::resolve_bus_discipline(DisciplineKind::kRoundRobin, "FCFS"),
-      std::invalid_argument);
-  EXPECT_THROW((void)core::resolve_mem_model(MemModelKind::kBus, "numa"),
-               std::invalid_argument);
-  EXPECT_THROW((void)core::resolve_mem_model(MemModelKind::kBus, ""),
-               std::invalid_argument);
-  EXPECT_THROW((void)core::resolve_mem_model(MemModelKind::kBus, "DSM"),
-               std::invalid_argument);
-  // Unset (nullptr) keeps the config value.
-  EXPECT_EQ(core::resolve_bus_discipline(DisciplineKind::kFcfs, nullptr),
-            DisciplineKind::kFcfs);
-  EXPECT_EQ(core::resolve_mem_model(MemModelKind::kDsm, nullptr),
-            MemModelKind::kDsm);
+TEST(ScalingDifferential, MalformedDisciplineAndModelValuesAreRejected) {
+  for (const char* junk : {"priority", "", "FCFS"}) {
+    EXPECT_THROW((void)bus::discipline_from_name(junk), std::invalid_argument)
+        << '"' << junk << '"';
+  }
+  for (const char* junk : {"numa", "", "DSM"}) {
+    EXPECT_THROW((void)core::mem_model_from_name(junk), std::invalid_argument)
+        << '"' << junk << '"';
+  }
+  EXPECT_EQ(bus::discipline_from_name("fcfs"), bus::DisciplineKind::kFcfs);
+  EXPECT_EQ(core::mem_model_from_name("dsm"), core::MemModelKind::kDsm);
 }
 
 // ---------------------------------------------------------------------------
@@ -463,14 +419,7 @@ std::string report_golden_path() {
   return std::string(SYNCPAT_GOLDEN_DIR) + "/report_p128.txt";
 }
 
-class ReportAtP128 : public ::testing::TestWithParam<core::EngineKind> {
- protected:
-  void SetUp() override {
-    unsetenv("SYNCPAT_ENGINE");
-    unsetenv("SYNCPAT_BUS_DISCIPLINE");
-    unsetenv("SYNCPAT_MODEL");
-  }
-};
+class ReportAtP128 : public ::testing::TestWithParam<core::EngineKind> {};
 
 INSTANTIATE_TEST_SUITE_P(Engines, ReportAtP128,
                          ::testing::Values(core::EngineKind::kDes,
