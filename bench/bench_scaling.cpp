@@ -1,12 +1,12 @@
-// Scaling study: synchronization patterns from 16 to 1024 processors.
+// Scaling study: synchronization patterns from 16 to 4096 processors.
 //
 // The paper measures its six programs at P <= 16 (the Symmetry's size); the
 // natural follow-up question is how each lock scheme's contention signature
 // extrapolates when the machine outgrows the bus.  This bench runs one
 // deliberately contended, non-partitioned workload — per-processor work held
 // constant (weak scaling), two shared locks with a 90% dominant one, one
-// closing barrier — across every lock scheme at P in {16, 64, 256, 1024} on
-// the discrete-event engine, and emits waiters-at-transfer and
+// closing barrier — across every lock scheme at P in {16, 64, 256, 1024, 4096}
+// on the discrete-event engine, and emits waiters-at-transfer and
 // bus-utilization curves against P.
 //
 // Emits BENCH_scaling.json (path via argv[1], default ./BENCH_scaling.json)
@@ -25,11 +25,12 @@
 // saturates for every scheme once P reaches 256 (weak scaling over a shared
 // bus cannot stay flat), so the discriminating signals are waiters at
 // transfer and run-time inflation.  The queue-based schemes (queuing,
-// queuing-exact, anderson, ticket) hold mean waiters near 1 all the way to
-// P = 1024; the spinning schemes (tas, ttas, tas-backoff) climb to 3.7-4.5
-// waiters per transfer, and plain tas pays ~8% extra run-time at P = 1024
-// from its forced read-exclusive retries — the paper's §4 argument,
-// extrapolated two orders of magnitude past the Symmetry.
+// queuing-exact, anderson, ticket, mcs, clh) hold mean waiters near 1 all
+// the way to P = 4096; the spinning schemes (tas, ttas, tas-backoff) climb
+// to 3.7-4.5 waiters per transfer at P = 1024 and 12.3-12.7 at P = 4096,
+// and plain tas pays ~8% extra run-time at both from its forced
+// read-exclusive retries — the paper's §4 argument, extrapolated more than
+// two orders of magnitude past the Symmetry.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::uint32_t> procs =
       smoke ? std::vector<std::uint32_t>{4, 16, 64}
-            : std::vector<std::uint32_t>{16, 64, 256, 1024};
+            : std::vector<std::uint32_t>{16, 64, 256, 1024, 4096};
   const std::uint64_t refs = smoke ? 150 : 300;
 
   std::vector<Curve> curves;

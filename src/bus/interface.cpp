@@ -30,6 +30,7 @@ bool BusInterface::enqueue(Transaction* txn) {
   } else {
     queue_.push_back(txn);
   }
+  notify(*txn, /*entered=*/true);
   return true;
 }
 
@@ -44,7 +45,9 @@ Transaction* BusInterface::snoop_writeback(std::uint32_t line_addr) {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     Transaction* txn = queue_.at(i);
     if (txn->kind == TxnKind::kWriteBack && txn->line_addr == line_addr) {
-      return queue_.remove_at(i);
+      queue_.remove_at(i);
+      notify(*txn, /*entered=*/false);
+      return txn;
     }
   }
   return nullptr;

@@ -16,6 +16,10 @@
 //
 // A dirty line waiting in the buffer as a write-back is visible to the
 // coherence mechanism: snoops check the buffer (see snoop_writeback()).
+//
+// An optional queue hook reports every entry that enters or leaves the
+// buffer; the simulator keeps its set of ports with a queued request and its
+// count of buffered write-backs per line from it.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +55,16 @@ class BusInterface {
   }
 
   /// Removes the head after it has been granted the bus.
-  Transaction* pop_head() { return queue_.pop_front(); }
+  Transaction* pop_head() {
+    Transaction* txn = queue_.pop_front();
+    notify(*txn, /*entered=*/false);
+    return txn;
+  }
+
+  /// Entry i positions from the head (0 == head); i < size().
+  [[nodiscard]] const Transaction& entry(std::size_t i) const {
+    return *queue_.at(i);
+  }
 
   /// True if any queued entry targets `line_addr`.
   [[nodiscard]] bool has_line(std::uint32_t line_addr) const;
@@ -68,12 +81,28 @@ class BusInterface {
   [[nodiscard]] std::uint64_t bypasses() const { return bypasses_; }
   [[nodiscard]] std::uint64_t bypass_blocked() const { return bypass_blocked_; }
 
+  /// Called as hook(ctx, iface, txn, entered) after `txn` enters the buffer
+  /// (enqueue) or leaves it (pop_head, snoop_writeback).  Null (the default)
+  /// tracks nothing.
+  using QueueHook = void (*)(void* ctx, const BusInterface& iface,
+                             const Transaction& txn, bool entered);
+  void set_queue_hook(QueueHook hook, void* ctx) {
+    hook_ = hook;
+    hook_ctx_ = ctx;
+  }
+
  private:
+  void notify(const Transaction& txn, bool entered) const {
+    if (hook_ != nullptr) hook_(hook_ctx_, *this, txn, entered);
+  }
+
   std::uint32_t proc_id_;
   ConsistencyModel model_;
   util::RingBuffer<Transaction*> queue_;
   std::uint64_t bypasses_ = 0;
   std::uint64_t bypass_blocked_ = 0;
+  QueueHook hook_ = nullptr;
+  void* hook_ctx_ = nullptr;
 };
 
 }  // namespace syncpat::bus

@@ -4,8 +4,16 @@
 #include <stdexcept>
 
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 
 namespace syncpat::bus {
+
+ServiceDiscipline::ServiceDiscipline(std::uint32_t ports)
+    : ports_(ports),
+      all_ports_(util::bit_words(ports), 0),
+      offered_(util::bit_words(ports), 0) {
+  for (std::uint32_t p = 0; p < ports; ++p) util::set_bit(all_ports_.data(), p);
+}
 
 ServiceDiscipline::~ServiceDiscipline() = default;
 
@@ -28,58 +36,92 @@ DisciplineKind discipline_from_name(const std::string& name) {
       name + "\"");
 }
 
-void RoundRobinDiscipline::scan_order(const ArbRequest* /*req*/,
-                                      std::uint64_t /*now*/,
-                                      std::uint32_t* out) {
-  for (std::uint32_t i = 0; i < ports_; ++i) {
-    out[i] = (next_ + i) % ports_;
+void ServiceDiscipline::scan_order(const ArbRequest* req, std::uint64_t now,
+                                   std::uint32_t* out) {
+  struct Collect {
+    std::uint32_t* out;
+    std::uint64_t* offered;
+    std::uint32_t n;
+  } collect{out, offered_.data(), 0};
+  std::fill(offered_.begin(), offered_.end(), 0);
+  offer(all_ports_.data(), all_ports_.data(), req, now,
+        [](void* ctx, std::uint32_t port) {
+          auto& c = *static_cast<Collect*>(ctx);
+          c.out[c.n++] = port;
+          util::set_bit(c.offered, port);
+          return false;
+        },
+        &collect);
+  for (std::uint32_t p = 0; collect.n < ports_; ++p) {
+    if (!util::test_bit(offered_.data(), p)) out[collect.n++] = p;
   }
 }
 
-void FixedPriorityDiscipline::scan_order(const ArbRequest* req,
-                                         std::uint64_t now,
-                                         std::uint32_t* out) {
+bool RoundRobinDiscipline::offer(const std::uint64_t* /*ready*/,
+                                 const std::uint64_t* grantable,
+                                 const ArbRequest* /*req*/,
+                                 std::uint64_t /*now*/, GrantFn grant,
+                                 void* ctx) {
+  const auto try_port = [&](std::uint32_t p) { return grant(ctx, p); };
+  return util::visit_set_bits(grantable, next_, ports_, try_port) ||
+         util::visit_set_bits(grantable, 0, next_, try_port);
+}
+
+bool FixedPriorityDiscipline::offer(const std::uint64_t* ready,
+                                    const std::uint64_t* grantable,
+                                    const ArbRequest* req, std::uint64_t now,
+                                    GrantFn grant, void* ctx) {
   SYNCPAT_ASSERT(req != nullptr);
   // Memory responses drain first (they hold a line slot and block retries).
-  out[0] = ports_ - 1;
-  // Aging escape: find the oldest queued processor request (stamp, port id
-  // breaking ties — the id-order scan below never considers a later port
-  // with an equal stamp first, so <, not <=, keeps the scan deterministic).
+  const std::uint32_t memory = ports_ - 1;
+  if (util::test_bit(grantable, memory) && grant(ctx, memory)) return true;
+  // Aging escape: find the oldest eligible processor request (stamp, port id
+  // breaking ties — the id-order walk below never considers a later port
+  // with an equal stamp first, so <, not <=, keeps the order deterministic).
+  // It ranks every ready port: an ungrantable oldest blocks nobody's
+  // promotion, it is merely not offered.
   std::uint32_t oldest = ports_;
-  for (std::uint32_t p = 0; p + 1 < ports_; ++p) {
+  util::visit_set_bits(ready, 0, memory, [&](std::uint32_t p) {
     if (req[p].present &&
         (oldest == ports_ || req[p].stamp < req[oldest].stamp)) {
       oldest = p;
     }
-  }
-  std::uint32_t idx = 1;
+    return false;
+  });
   if (oldest != ports_ &&
       now - req[oldest].stamp >= kStarvationEscapeCycles) {
     // Bounded priority inversion: one starving request jumps the chain.
-    out[idx++] = oldest;
+    if (util::test_bit(grantable, oldest) && grant(ctx, oldest)) return true;
   } else {
-    oldest = ports_;  // nobody promoted; emit the pure static chain
+    oldest = ports_;  // nobody promoted; the pure static chain
   }
-  for (std::uint32_t p = 0; p + 1 < ports_; ++p) {
-    if (p != oldest) out[idx++] = p;
-  }
+  return util::visit_set_bits(grantable, 0, memory, [&](std::uint32_t p) {
+    return p != oldest && grant(ctx, p);
+  });
 }
 
-void FcfsDiscipline::scan_order(const ArbRequest* req, std::uint64_t /*now*/,
-                                std::uint32_t* out) {
+bool FcfsDiscipline::offer(const std::uint64_t* /*ready*/,
+                           const std::uint64_t* grantable,
+                           const ArbRequest* req, std::uint64_t /*now*/,
+                           GrantFn grant, void* ctx) {
   SYNCPAT_ASSERT(req != nullptr);
-  for (std::uint32_t i = 0; i < ports_; ++i) {
-    out[i] = i;
-  }
-  // Total order (requests by arrival stamp, then port id; requestless ports
-  // trail in id order), so the sort is deterministic without stability.
-  std::sort(out, out + ports_, [req](std::uint32_t a, std::uint32_t b) {
-    if (req[a].present != req[b].present) return req[a].present;
-    if (req[a].present && req[a].stamp != req[b].stamp) {
-      return req[a].stamp < req[b].stamp;
-    }
-    return a < b;
+  order_.clear();
+  util::visit_set_bits(grantable, 0, ports_, [&](std::uint32_t p) {
+    if (req[p].present) order_.push_back(p);
+    return false;
   });
+  // A min-heap on (arrival stamp, port id), a total order: a round usually
+  // grants one of its first few candidates, so pop them in order rather than
+  // sorting them all.
+  const auto later = [req](std::uint32_t a, std::uint32_t b) {
+    return req[a].stamp != req[b].stamp ? req[a].stamp > req[b].stamp : a > b;
+  };
+  std::make_heap(order_.begin(), order_.end(), later);
+  for (auto end = order_.end(); end != order_.begin(); --end) {
+    std::pop_heap(order_.begin(), end, later);
+    if (grant(ctx, *(end - 1))) return true;
+  }
+  return false;
 }
 
 std::unique_ptr<ServiceDiscipline> make_discipline(DisciplineKind kind,

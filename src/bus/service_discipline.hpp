@@ -18,16 +18,23 @@
 //     / queued discipline), using each head transaction's bus-queue arrival
 //     stamp.
 //
-// A discipline produces a full priority-ordered port permutation per round;
-// the simulator walks it and grants the first serviceable request, so an
-// unserviceable high-priority port (line in flight, memory input full) never
-// deadlocks the bus.  Grant bookkeeping (rotation, wait statistics) goes
-// through record_grant().
+// Each discipline has one ordering policy, offer(): it ranks the ports that
+// have a request (the ready set) and hands the grantable ones to the arbiter
+// in priority order until one is granted, so an unserviceable high-priority
+// port (line in flight, memory input full) never deadlocks the bus, and a
+// round costs the ports it visits rather than all P + 1.  Which ports are
+// ready, and which of those could be granted at all this round, is
+// simulator bookkeeping; the modeled arbiter still sees every port, and a
+// port that cannot be granted never wins.  scan_order() is the
+// full-permutation view of the same policy (every port ready and
+// grantable).  Grant bookkeeping (rotation, wait statistics) goes through
+// record_grant().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/running_stat.hpp"
 
@@ -42,8 +49,9 @@ inline constexpr std::size_t kNumDisciplines = 3;
 /// anything else throws std::invalid_argument naming the offending text.
 [[nodiscard]] DisciplineKind discipline_from_name(const std::string& name);
 
-/// One port's view of an arbitration round (filled only for disciplines that
-/// need request stamps, see ServiceDiscipline::needs_stamps()).
+/// One port's view of an arbitration round (filled only at ready ports, and
+/// only for disciplines that need request stamps, see
+/// ServiceDiscipline::needs_stamps()).
 struct ArbRequest {
   bool present = false;     // a grant-eligible request waits at this port
   std::uint64_t stamp = 0;  // cycle it reached the bus queue (issued_cycle)
@@ -59,21 +67,37 @@ struct DisciplineStats {
 
 class ServiceDiscipline {
  public:
-  explicit ServiceDiscipline(std::uint32_t ports) : ports_(ports) {}
+  explicit ServiceDiscipline(std::uint32_t ports);
   virtual ~ServiceDiscipline();
 
   ServiceDiscipline(const ServiceDiscipline&) = delete;
   ServiceDiscipline& operator=(const ServiceDiscipline&) = delete;
 
-  /// Writes a permutation of [0, ports) into `out`, highest grant priority
-  /// first.  `req` has one entry per port (`req[ports-1]` is the memory
-  /// response port) and may be null when needs_stamps() is false; `now` is
-  /// the current bus cycle, for disciplines that age requests.
-  virtual void scan_order(const ArbRequest* req, std::uint64_t now,
-                          std::uint32_t* out) = 0;
+  /// Called as grant(ctx, port) for each port offered; true ends the round.
+  using GrantFn = bool (*)(void* ctx, std::uint32_t port);
 
-  /// True when scan_order() reads the per-port request stamps; the caller
-  /// then fills an ArbRequest per port before calling it.
+  /// One arbitration round over the ports in `ready` (a bitmask over
+  /// [0, ports), util/bits.hpp layout; port ports-1 is the memory response
+  /// port): offers the ports in `grantable` (a subset of `ready`: the ones
+  /// whose request could be granted at all) to `grant` in the priority order
+  /// the ready set ranks them in, until it returns true, and returns whether
+  /// it did.  `req` is read only at ready ports, only when needs_stamps(),
+  /// and its `present` flag marks the grant-eligible requests; `now` is the
+  /// current bus cycle, for disciplines that age requests.
+  virtual bool offer(const std::uint64_t* ready,
+                     const std::uint64_t* grantable, const ArbRequest* req,
+                     std::uint64_t now, GrantFn grant, void* ctx) = 0;
+
+  /// Writes a permutation of [0, ports) into `out`, highest grant priority
+  /// first: the order offer() visits with every port ready and grantable,
+  /// followed by any port it does not offer (FCFS's requestless ones) in id
+  /// order.  `req`
+  /// has one entry per port and may be null when needs_stamps() is false.
+  void scan_order(const ArbRequest* req, std::uint64_t now,
+                  std::uint32_t* out);
+
+  /// True when offer() reads the per-port request stamps; the caller then
+  /// fills an ArbRequest per ready port before calling it.
   [[nodiscard]] virtual bool needs_stamps() const { return false; }
 
   /// Records that `port` won arbitration for a request that waited
@@ -99,18 +123,24 @@ class ServiceDiscipline {
 
  private:
   DisciplineStats stats_;
+  // scan_order() scratch: every port set, and the ports offer() visited.
+  std::vector<std::uint64_t> all_ports_;
+  std::vector<std::uint64_t> offered_;
 };
 
 /// The historical policy: scan starts one past the last granted port.
 class RoundRobinDiscipline final : public ServiceDiscipline {
  public:
   using ServiceDiscipline::ServiceDiscipline;
-  void scan_order(const ArbRequest* req, std::uint64_t now,
-                  std::uint32_t* out) override;
+  /// Grantable ports from one past the last grant, wrapping around (the
+  /// memory port takes its turn in its cyclic slot).
+  bool offer(const std::uint64_t* ready, const std::uint64_t* grantable,
+             const ArbRequest* req, std::uint64_t now, GrantFn grant,
+             void* ctx) override;
   [[nodiscard]] DisciplineKind kind() const override {
     return DisciplineKind::kRoundRobin;
   }
-  /// The port the scan considers `offset` places after the last grant
+  /// The port the rotation considers `offset` places after the last grant
   /// (exposed for the rotation unit tests).
   [[nodiscard]] std::uint32_t peek(std::uint32_t offset) const {
     return (next_ + offset) % ports_;
@@ -144,8 +174,11 @@ class FixedPriorityDiscipline final : public ServiceDiscipline {
   static constexpr std::uint64_t kStarvationEscapeCycles = 1024;
 
   using ServiceDiscipline::ServiceDiscipline;
-  void scan_order(const ArbRequest* req, std::uint64_t now,
-                  std::uint32_t* out) override;
+  /// The memory port, then the aged oldest eligible ready processor request
+  /// (if any), then the processor ports in ascending id order.
+  bool offer(const std::uint64_t* ready, const std::uint64_t* grantable,
+             const ArbRequest* req, std::uint64_t now, GrantFn grant,
+             void* ctx) override;
   [[nodiscard]] bool needs_stamps() const override { return true; }
   [[nodiscard]] DisciplineKind kind() const override {
     return DisciplineKind::kFixedPriority;
@@ -153,16 +186,21 @@ class FixedPriorityDiscipline final : public ServiceDiscipline {
 };
 
 /// First-come first-served: the oldest queued request (by bus-queue arrival
-/// stamp, port id breaking ties) wins; requestless ports trail in id order.
+/// stamp, port id breaking ties) wins; requestless ports are never offered.
 class FcfsDiscipline final : public ServiceDiscipline {
  public:
   using ServiceDiscipline::ServiceDiscipline;
-  void scan_order(const ArbRequest* req, std::uint64_t now,
-                  std::uint32_t* out) override;
+  /// The eligible grantable ports sorted by (stamp, port id).
+  bool offer(const std::uint64_t* ready, const std::uint64_t* grantable,
+             const ArbRequest* req, std::uint64_t now, GrantFn grant,
+             void* ctx) override;
   [[nodiscard]] bool needs_stamps() const override { return true; }
   [[nodiscard]] DisciplineKind kind() const override {
     return DisciplineKind::kFcfs;
   }
+
+ private:
+  std::vector<std::uint32_t> order_;  // offer() scratch
 };
 
 [[nodiscard]] std::unique_ptr<ServiceDiscipline> make_discipline(

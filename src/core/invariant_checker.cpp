@@ -70,16 +70,21 @@ void InvariantChecker::full_mesi_sweep(const Simulator& sim,
                                        std::uint64_t cycle) {
   // One pass over every cache, grouped by line address: resident states are
   // sparse, so the per-line cross-check above would rescan caches for lines
-  // that only one cache holds.
+  // that only one cache holds.  The same pass rebuilds what the simulator's
+  // holder directory must say: each line's valid holders, and its
+  // write-backs buffered in the cache-bus interfaces.
   struct LineView {
     std::uint32_t owners = 0, sharers = 0;
     std::int32_t owner_proc = -1, sharer_proc = -1;
+    std::uint32_t writebacks = 0;
+    bool in_directory = false;
   };
   std::unordered_map<std::uint32_t, LineView> lines;
   for (std::uint32_t p = 0; p < sim.num_procs(); ++p) {
     sim.caches_[p]->for_each_valid_line(
         [&](std::uint32_t line_addr, cache::LineState s) {
           ++checks_;
+          if (s == cache::LineState::kPending) return;
           LineView& v = lines[line_addr];
           if (owns_line(s)) {
             ++v.owners;
@@ -89,6 +94,11 @@ void InvariantChecker::full_mesi_sweep(const Simulator& sim,
             v.sharer_proc = static_cast<std::int32_t>(p);
           }
         });
+    const bus::BusInterface& iface = *sim.ifaces_[p];
+    for (std::size_t i = 0; i < iface.size(); ++i) {
+      const bus::Transaction& txn = iface.entry(i);
+      if (txn.kind == bus::TxnKind::kWriteBack) ++lines[txn.line_addr].writebacks;
+    }
   }
   for (const auto& [line_addr, v] : lines) {
     if (v.owners > 1) {
@@ -100,6 +110,46 @@ void InvariantChecker::full_mesi_sweep(const Simulator& sim,
              " owned (E/M) by proc " + std::to_string(v.owner_proc) +
              " but Shared in proc " + std::to_string(v.sharer_proc) +
              " at cycle " + std::to_string(cycle));
+    }
+  }
+
+  // The holder directory against the rebuilt view, both ways: every line it
+  // tracks must have exactly its listed holders and write-back count, and
+  // every held or buffered line must be tracked.  A listed processor must
+  // hold the line valid; with equal counts and distinct listed ids that
+  // makes the holder sets equal.
+  std::vector<std::uint32_t> listed(sim.num_procs());
+  sim.holders_.for_each_line([&](std::uint32_t line_addr,
+                                 std::uint32_t holders,
+                                 std::uint32_t writebacks) {
+    ++checks_;
+    LineView& v = lines[line_addr];
+    v.in_directory = true;
+    const std::uint32_t n = sim.holders_.holders(line_addr, listed.data());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const cache::LineState s = sim.caches_[listed[i]]->state(line_addr);
+      if (!owns_line(s) && s != cache::LineState::kShared) {
+        record("holder directory lists proc " + std::to_string(listed[i]) +
+               " for line 0x" + hex(line_addr) + " in state " +
+               cache::state_name(s) + " at cycle " + std::to_string(cycle));
+      }
+    }
+    if (n != holders || holders != v.owners + v.sharers ||
+        writebacks != v.writebacks) {
+      record("holder directory has " + std::to_string(holders) +
+             " holders and " + std::to_string(writebacks) +
+             " buffered write-backs for line 0x" + hex(line_addr) +
+             ", the machine " + std::to_string(v.owners + v.sharers) +
+             " and " + std::to_string(v.writebacks) + " at cycle " +
+             std::to_string(cycle));
+    }
+  });
+  for (const auto& [line_addr, v] : lines) {
+    if (!v.in_directory) {
+      record("holder directory misses line 0x" + hex(line_addr) + " (" +
+             std::to_string(v.owners + v.sharers) + " holders, " +
+             std::to_string(v.writebacks) + " buffered write-backs) at cycle " +
+             std::to_string(cycle));
     }
   }
 }

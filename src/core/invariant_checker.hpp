@@ -12,6 +12,10 @@
 //    a final sweep runs at end of simulation.  On the DES engine "every
 //    cycle" means every event cycle: the state checked here changes only
 //    there, and a sweep period ending inside a bulk span is swept at the span.
+//  * The simulator's holder directory (the snoop filter) is exact: each full
+//    sweep rebuilds every line's valid holders from the caches and its
+//    buffered write-backs from the interfaces, and any difference — a
+//    missing, extra or stale entry — is a violation.
 //  * At most one transaction per line in flight: re-derived from transaction
 //    phases, independently of the simulator's own line_inflight_ bookkeeping.
 //  * Lock mutual exclusion: a processor only acquires a lock no other

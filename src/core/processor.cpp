@@ -196,6 +196,7 @@ void Processor::issue_loop() {
     if (!has_cur_) {
       state_ = ProcState::kDone;
       stats_.completion_cycle = sim_.now();
+      sim_.proc_finished();
       return;
     }
     const Event e = cur_;
@@ -213,6 +214,7 @@ void Processor::advance_after_event() {
   if (!has_cur_) {
     state_ = ProcState::kDone;
     stats_.completion_cycle = sim_.now();
+    sim_.proc_finished();
     if (ticked_cycle_ != sim_.now()) {
       // Pre-tick wake-up (a memory-absorbed write or a retried fill finalizes
       // before processors tick in Simulator::step).  Mid-trace the woken

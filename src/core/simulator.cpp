@@ -5,10 +5,17 @@
 
 #include "core/invariant_checker.hpp"
 #include "util/assert.hpp"
+#include "util/bits.hpp"
 
 namespace syncpat::core {
 
 namespace {
+
+/// Lines a snoop can act on: the holder directory's notion of a holder.
+[[nodiscard]] bool is_holder_state(cache::LineState s) {
+  return s == cache::LineState::kShared || s == cache::LineState::kExclusive ||
+         s == cache::LineState::kModified;
+}
 
 [[nodiscard]] bool is_fifo_scheme(sync::SchemeKind kind) {
   // Schemes whose grant order must follow the bus order of the initial
@@ -35,11 +42,13 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
           .ports = static_cast<std::uint32_t>(program.num_procs()) + 1,
           .request_cycles = 1,
           .data_cycles = config.line_transfer_cycles()}),
+      holders_(static_cast<std::uint32_t>(program.num_procs())),
       memory_(config.memory),
       des_due_(static_cast<std::uint32_t>(program.num_procs())) {
   SYNCPAT_ASSERT(program.num_procs() > 0);
   discipline_ = bus::make_discipline(cfg_.bus_discipline, bus_.config().ports);
-  arb_order_.resize(bus_.config().ports);
+  ready_.assign(util::bit_words(bus_.config().ports), 0);
+  memory_free_.assign(ready_.size(), 0);
   arb_req_.resize(bus_.config().ports);
   SYNCPAT_ASSERT(cfg_.dsm.nodes > 0);
   dsm_procs_per_node_ =
@@ -49,10 +58,16 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
   const auto nprocs = static_cast<std::uint32_t>(program.num_procs());
   spin_line_.assign(nprocs, 0);
   outstanding_fence_.assign(nprocs, 0);
+  snoop_holders_.resize(nprocs);
+  cache_hook_ctx_.resize(nprocs);
   for (std::uint32_t p = 0; p < nprocs; ++p) {
     caches_.push_back(std::make_unique<cache::Cache>(cfg_.cache));
+    cache_hook_ctx_[p] = CacheHookCtx{this, p};
+    caches_[p]->set_transition_hook(&Simulator::cache_transition_hook,
+                                    &cache_hook_ctx_[p]);
     ifaces_.push_back(std::make_unique<bus::BusInterface>(
         p, cfg_.cache_bus_buffer_depth, cfg_.consistency));
+    ifaces_[p]->set_queue_hook(&Simulator::iface_queue_hook, this);
   }
   scheme_ = sync::make_scheme(cfg_.lock_scheme, *this, lock_stats_,
                               cfg_.cache.line_bytes);
@@ -68,33 +83,23 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
     if (recorder_->wants(obs::category::kLocks)) {
       lock_stats_.set_recorder(recorder_.get());
     }
-    if (recorder_->wants(obs::category::kCoherence)) {
-      cache_hook_ctx_.resize(nprocs);
-      for (std::uint32_t p = 0; p < nprocs; ++p) {
-        cache_hook_ctx_[p] = CacheHookCtx{this, p};
-        caches_[p]->set_transition_hook(&Simulator::cache_transition_hook,
-                                        &cache_hook_ctx_[p]);
-      }
-    }
   }
   observe_bus_ = metrics_ != nullptr || tracing(obs::category::kBus);
   des_stats_.enabled = cfg_.engine == EngineKind::kDes;
   des_acct_.assign(nprocs, 0);
-  des_words_ = (nprocs + 63) / 64;
+  des_words_ = util::bit_words(nprocs);
   des_due_now_.assign(des_words_, 0);
   des_dirty_.assign(des_words_, 0);
   for (std::uint32_t p = 0; p < nprocs; ++p) {
     procs_.push_back(std::make_unique<Processor>(
         p, *program.per_proc[p], *caches_[p], *ifaces_[p], *this));
+    if (procs_.back()->done()) proc_finished();  // empty trace
   }
 }
 
 Simulator::~Simulator() = default;
 
-bool Simulator::all_done() const {
-  return std::all_of(procs_.begin(), procs_.end(),
-                     [](const auto& p) { return p->done(); });
-}
+bool Simulator::all_done() const { return done_procs_ == procs_.size(); }
 
 SimulationResult Simulator::run() {
   const std::int64_t loop_t0 =
@@ -310,7 +315,7 @@ void Simulator::des_settle_all(std::uint64_t through_cycle) {
 }
 
 void Simulator::des_mark_dirty(std::uint32_t proc) {
-  des_dirty_[proc / 64] |= 1ull << (proc % 64);
+  util::set_bit(des_dirty_.data(), proc);
 }
 
 void Simulator::des_touch(std::uint32_t proc) {
@@ -321,7 +326,7 @@ void Simulator::des_touch(std::uint32_t proc) {
       // processor take its regular tick this cycle (per-cycle stepping would
       // tick it at phase 3 after this mutation).
       des_settle(proc, cycle_ - 1);
-      des_due_now_[proc / 64] |= 1ull << (proc % 64);
+      util::set_bit(des_due_now_.data(), proc);
       break;
     case DesPhase::kProcTick:
       if (proc < des_cur_proc_) {
@@ -331,7 +336,7 @@ void Simulator::des_touch(std::uint32_t proc) {
       } else if (proc > des_cur_proc_) {
         // Its slot is still ahead: the loop will tick it post-mutation.
         des_settle(proc, cycle_ - 1);
-        des_due_now_[proc / 64] |= 1ull << (proc % 64);
+        util::set_bit(des_due_now_.data(), proc);
       }
       // proc == des_cur_proc_: live inside its own tick; nothing to settle.
       break;
@@ -374,13 +379,8 @@ std::uint64_t Simulator::des_next_event() const {
     // or any queued request makes the very next cycle an event.  (Whether
     // the grant actually succeeds — line in flight, memory buffer full — is
     // re-decided there, exactly as per-cycle stepping would.)
-    // Responses and queued requests are transactions, so an empty active_
-    // set rules both out without touching memory or the interfaces.
-    if (!active_.empty()) {
-      if (memory_.pending_response() != nullptr) return cycle_ + 1;
-      for (const auto& iface : ifaces_) {
-        if (!iface->empty()) return cycle_ + 1;
-      }
+    if (ready_ifaces_ > 0 || memory_.pending_response() != nullptr) {
+      return cycle_ + 1;
     }
   } else {
     t = std::min(t, cycle_ + bus_.busy_remaining());
@@ -550,57 +550,61 @@ void Simulator::retire(Transaction* txn) {
 
 void Simulator::arbitrate() {
   if (!bus_.free()) return;
-  // Every grantable request — queued at an interface or awaiting a memory
-  // response — is an active transaction, so an empty table means the port
-  // scan below cannot grant anything.
-  if (active_.empty()) return;
-  const std::uint32_t ports = static_cast<std::uint32_t>(procs_.size()) + 1;
+  const auto memory_port = static_cast<std::uint32_t>(procs_.size());
+  Transaction* response = memory_.pending_response();
+  if (ready_ifaces_ == 0 && response == nullptr) return;
+  for (std::uint64_t* set : {ready_.data(), memory_free_.data()}) {
+    response != nullptr ? util::set_bit(set, memory_port)
+                        : util::clear_bit(set, memory_port);
+  }
   if (discipline_->needs_stamps()) {
     // Stamp-aware disciplines (FCFS ordering, fixed-priority aging) rank
     // ports by when each head request reached the bus queue.  Same-cycle
     // issues are not grant-eligible yet (the arbiter never grants a request
     // the cycle it was issued), so they rank as absent.
-    for (std::uint32_t p = 0; p + 1 < ports; ++p) {
-      Transaction* head = ifaces_[p]->head();
-      const bool eligible = head != nullptr && head->issued_cycle != cycle_;
-      arb_req_[p] = bus::ArbRequest{eligible, eligible ? head->issued_cycle : 0};
+    util::visit_set_bits(ready_.data(), 0, memory_port, [&](std::uint32_t p) {
+      const std::uint64_t stamp = ifaces_[p]->head()->issued_cycle;
+      arb_req_[p] = bus::ArbRequest{stamp != cycle_, stamp};
+      return false;
+    });
+    if (response != nullptr) {
+      arb_req_[memory_port] = bus::ArbRequest{
+          response->issued_cycle != cycle_, response->issued_cycle};
     }
-    Transaction* response = memory_.pending_response();
-    const bool eligible = response != nullptr && response->issued_cycle != cycle_;
-    arb_req_[ports - 1] =
-        bus::ArbRequest{eligible, eligible ? response->issued_cycle : 0};
   }
-  discipline_->scan_order(arb_req_.data(), cycle_, arb_order_.data());
-  for (std::uint32_t i = 0; i < ports; ++i) {
-    const std::uint32_t port = arb_order_[i];
-    if (port == ports - 1) {
-      Transaction* response = memory_.pending_response();
-      if (response == nullptr || response->issued_cycle == cycle_) continue;
-      if (response->requester >= 0) {
-        des_touch(static_cast<std::uint32_t>(response->requester));
-      }
-      memory_.pop_response();
-      response->phase = TxnPhase::kOnBusResp;
-      discipline_->record_grant(port, cycle_ - response->issued_cycle, true);
-      bus_.occupy(response, bus_.config().data_cycles);
-      if (observe_bus_) on_bus_tenure(*response, bus_.config().data_cycles);
-      return;
-    }
-    if (try_grant(port)) return;
+  // With memory's input buffer full, try_grant refuses every read,
+  // read-exclusive, write-back and write-through without side effects, so
+  // only the other ports are offered.
+  const std::uint64_t* grantable =
+      memory_.input_full() ? memory_free_.data() : ready_.data();
+  discipline_->offer(ready_.data(), grantable, arb_req_.data(), cycle_,
+                     &Simulator::grant_port, this);
+}
+
+bool Simulator::grant_port(void* ctx, std::uint32_t port) {
+  auto& sim = *static_cast<Simulator*>(ctx);
+  return port == sim.procs_.size() ? sim.grant_response() : sim.try_grant(port);
+}
+
+bool Simulator::grant_response() {
+  Transaction* response = memory_.pending_response();
+  if (response->issued_cycle == cycle_) return false;
+  if (response->requester >= 0) {
+    des_touch(static_cast<std::uint32_t>(response->requester));
   }
+  memory_.pop_response();
+  response->phase = TxnPhase::kOnBusResp;
+  discipline_->record_grant(static_cast<std::uint32_t>(procs_.size()),
+                            cycle_ - response->issued_cycle, true);
+  bus_.occupy(response, bus_.config().data_cycles);
+  if (observe_bus_) on_bus_tenure(*response, bus_.config().data_cycles);
+  return true;
 }
 
 bool Simulator::try_grant(std::uint32_t port) {
   Transaction* txn = ifaces_[port]->head();
-  if (txn == nullptr) return false;
   if (txn->issued_cycle == cycle_) return false;
   if (line_inflight_.contains(txn->line_addr)) return false;
-
-  // Settle the requester before the upgrade promotion below: its
-  // coherence_refill stamp changes how waited cycles classify, and the
-  // phase-3 ticks being settled saw the pre-promotion transaction.  (A
-  // failed grant after this point mutates nothing, so the touch is safe.)
-  if (txn->requester >= 0) des_touch(static_cast<std::uint32_t>(txn->requester));
 
   // An upgrade whose line was invalidated while queued becomes a full
   // ownership miss (the write turned into a write miss, §4.1).
@@ -613,8 +617,14 @@ bool Simulator::try_grant(std::uint32_t port) {
     if (st != cache::LineState::kShared) {
       effective = TxnKind::kReadX;
       // Invalid means a remote invalidation took the line while this upgrade
-      // sat queued, so the refetch is a coherence refill.
-      if (st == cache::LineState::kInvalid) txn->coherence_refill = true;
+      // sat queued, so the refetch is a coherence refill.  The mark changes
+      // how the requester's waited cycles classify, so settle it first (the
+      // cycles being settled saw the unmarked transaction) — even when the
+      // grant is then refused.
+      if (st == cache::LineState::kInvalid && !txn->coherence_refill) {
+        des_touch(static_cast<std::uint32_t>(txn->requester));
+        txn->coherence_refill = true;
+      }
     }
   }
   const bool may_need_memory = effective == TxnKind::kRead ||
@@ -624,6 +634,7 @@ bool Simulator::try_grant(std::uint32_t port) {
   if (may_need_memory && memory_.input_full()) return false;
 
   // Granted.
+  if (txn->requester >= 0) des_touch(static_cast<std::uint32_t>(txn->requester));
   ifaces_[port]->pop_head();
   txn->kind = effective;
   txn->granted_cycle = cycle_;
@@ -690,21 +701,44 @@ bool Simulator::try_grant(std::uint32_t port) {
 
 void Simulator::snoop_others(Transaction* txn) {
   const bool exclusive = txn->is_exclusive_request();
-  for (std::uint32_t q = 0; q < procs_.size(); ++q) {
-    if (static_cast<std::int32_t>(q) == txn->requester) continue;
-    const cache::SnoopResult res = caches_[q]->snoop(txn->line_addr, exclusive);
-    if (res.had_line) {
-      txn->supplied_by_cache = true;
-      if (res.was_dirty) txn->dirty_supplier = true;
+  const auto nprocs = static_cast<std::uint32_t>(procs_.size());
+  if (holders_.buffered_writebacks(txn->line_addr) > 0) {
+    // A buffered write-back's owner may no longer hold the line: visit
+    // everyone, as the bus does.
+    ++snoop_stats_.writeback_fallbacks;
+    for (std::uint32_t q = 0; q < nprocs; ++q) {
+      if (static_cast<std::int32_t>(q) != txn->requester) {
+        snoop_one(txn, q, exclusive);
+      }
     }
-    if (res.invalidated) notify_invalidation(q, txn->line_addr);
-    // Dirty lines waiting in a cache-bus buffer are snoop-visible (§2.2):
-    // the buffered write-back is cancelled and the data supplied directly.
-    if (Transaction* wb = ifaces_[q]->snoop_writeback(txn->line_addr)) {
-      txn->supplied_by_cache = true;
-      txn->dirty_supplier = true;
-      retire(wb);
+    return;
+  }
+  // Every other cache's snoop is a miss with no effect, so visiting only the
+  // holders, in the same ascending order, changes nothing observable.  The
+  // snapshot is taken first: invalidating a holder updates holders_.
+  const std::uint32_t n = holders_.holders(txn->line_addr, snoop_holders_.data());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t q = snoop_holders_[i];
+    if (static_cast<std::int32_t>(q) != txn->requester) {
+      snoop_one(txn, q, exclusive);
     }
+  }
+}
+
+void Simulator::snoop_one(Transaction* txn, std::uint32_t q, bool exclusive) {
+  ++snoop_stats_.probes;
+  const cache::SnoopResult res = caches_[q]->snoop(txn->line_addr, exclusive);
+  if (res.had_line) {
+    txn->supplied_by_cache = true;
+    if (res.was_dirty) txn->dirty_supplier = true;
+  }
+  if (res.invalidated) notify_invalidation(q, txn->line_addr);
+  // Dirty lines waiting in a cache-bus buffer are snoop-visible (§2.2):
+  // the buffered write-back is cancelled and the data supplied directly.
+  if (Transaction* wb = ifaces_[q]->snoop_writeback(txn->line_addr)) {
+    txn->supplied_by_cache = true;
+    txn->dirty_supplier = true;
+    retire(wb);
   }
 }
 
@@ -1006,10 +1040,37 @@ void Simulator::cache_transition_hook(void* ctx, std::uint32_t line_addr,
                                       cache::LineState to) {
   const auto* hook = static_cast<const CacheHookCtx*>(ctx);
   Simulator& sim = *hook->sim;
-  sim.recorder_->emit(obs::TraceEvent{
-      sim.cycle_, obs::EventKind::kMesiTransition,
-      static_cast<std::int32_t>(hook->proc), line_addr,
-      static_cast<std::uint64_t>(from), static_cast<std::uint64_t>(to)});
+  const bool held = is_holder_state(from);
+  if (held != is_holder_state(to)) {
+    held ? sim.holders_.remove_holder(line_addr, hook->proc)
+         : sim.holders_.add_holder(line_addr, hook->proc);
+  }
+  if (sim.tracing(obs::category::kCoherence)) {
+    sim.recorder_->emit(obs::TraceEvent{
+        sim.cycle_, obs::EventKind::kMesiTransition,
+        static_cast<std::int32_t>(hook->proc), line_addr,
+        static_cast<std::uint64_t>(from), static_cast<std::uint64_t>(to)});
+  }
+}
+
+void Simulator::iface_queue_hook(void* ctx, const bus::BusInterface& iface,
+                                 const Transaction& txn, bool entered) {
+  Simulator& sim = *static_cast<Simulator*>(ctx);
+  const std::uint32_t port = iface.proc_id();
+  if (entered ? iface.size() == 1 : iface.empty()) {
+    entered ? util::set_bit(sim.ready_.data(), port)
+            : util::clear_bit(sim.ready_.data(), port);
+    entered ? ++sim.ready_ifaces_ : --sim.ready_ifaces_;
+  }
+  const Transaction* head = iface.head();
+  head != nullptr && (head->kind == TxnKind::kUpgrade ||
+                      head->kind == TxnKind::kHandoff)
+      ? util::set_bit(sim.memory_free_.data(), port)
+      : util::clear_bit(sim.memory_free_.data(), port);
+  if (txn.kind == TxnKind::kWriteBack) {
+    entered ? sim.holders_.add_writeback(txn.line_addr)
+            : sim.holders_.remove_writeback(txn.line_addr);
+  }
 }
 
 void Simulator::set_scheme_for_test(std::unique_ptr<sync::LockScheme> scheme) {

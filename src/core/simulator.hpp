@@ -23,6 +23,7 @@
 #include "bus/interface.hpp"
 #include "bus/service_discipline.hpp"
 #include "cache/cache.hpp"
+#include "cache/holder_directory.hpp"
 #include "core/event_queue.hpp"
 #include "core/machine_config.hpp"
 #include "core/processor.hpp"
@@ -49,6 +50,14 @@ struct DesStats {
   std::uint64_t span_cycles = 0;     // cycles covered by those advances
 };
 
+/// Host work of snoop_others() (diagnostic, like DesStats).  A snoop visits
+/// only the line's holders, unless a write-back of the line waits in a
+/// cache-bus buffer; then it falls back to visiting every other processor.
+struct SnoopStats {
+  std::uint64_t probes = 0;               // Cache::snoop calls
+  std::uint64_t writeback_fallbacks = 0;  // snoops that visited everyone
+};
+
 class Simulator final : public sync::SchemeServices {
  public:
   /// The program trace must outlive the simulator; sources are reset on
@@ -70,6 +79,7 @@ class Simulator final : public sync::SchemeServices {
   [[nodiscard]] SimulationResult collect_results() const;
 
   [[nodiscard]] const DesStats& des_stats() const { return des_stats_; }
+  [[nodiscard]] const SnoopStats& snoop_stats() const { return snoop_stats_; }
   /// The engine run() will use.
   [[nodiscard]] EngineKind engine() const { return cfg_.engine; }
 
@@ -170,8 +180,18 @@ class Simulator final : public sync::SchemeServices {
 
  private:
   void arbitrate();
+  /// ServiceDiscipline::GrantFn: routes an offered port to grant_response()
+  /// (the memory port) or try_grant().
+  static bool grant_port(void* ctx, std::uint32_t port);
+  bool grant_response();
+  /// Grants the head request at `port` if it is serviceable now.  A refusal
+  /// touches nothing: no settle, no state change (except marking a promoted
+  /// upgrade's coherence refill, which settles its requester first).
   bool try_grant(std::uint32_t port);
   void snoop_others(bus::Transaction* txn);
+  /// One processor's part of a snoop: its cache, then its buffered
+  /// write-back of the line, if any.
+  void snoop_one(bus::Transaction* txn, std::uint32_t proc, bool exclusive);
   void complete_bus(bus::Transaction* txn);
   /// Installs the fetched line; false when the fill must be retried later.
   bool fill_own(bus::Transaction* txn);
@@ -231,10 +251,31 @@ class Simulator final : public sync::SchemeServices {
   std::vector<std::unique_ptr<Processor>> procs_;
   bus::Bus bus_;
   std::unique_ptr<bus::ServiceDiscipline> discipline_;
-  // Arbitration scratch (sized once): the discipline's port permutation and,
-  // for stamp-aware disciplines, the per-port request view.
-  std::vector<std::uint32_t> arb_order_;
+  // Ports with a request, as a bitmask over [0, P] (util/bits.hpp): bit p is
+  // kept equal to "interface p is non-empty" by the interfaces' queue hook;
+  // bit P, the memory response port, is set per round.  ready_ifaces_ counts
+  // the processor bits.
+  std::vector<std::uint64_t> ready_;
+  std::uint32_t ready_ifaces_ = 0;
+  // The ready ports that need no memory input buffer: interfaces whose head
+  // is an upgrade or a hand-off (kept by the same hook), plus the memory
+  // port.  While memory's input buffer is full, they are the only grantable
+  // ones.
+  std::vector<std::uint64_t> memory_free_;
+  // For stamp-aware disciplines, the per-port request view (sized once,
+  // written only at ready ports).
   std::vector<bus::ArbRequest> arb_req_;
+  /// Every line's valid holders and buffered write-backs, kept by the caches'
+  /// transition hooks and the interfaces' queue hooks; snoop_others() visits
+  /// only the holders.
+  cache::HolderDirectory holders_;
+  std::vector<std::uint32_t> snoop_holders_;  // snoop_others() scratch
+  SnoopStats snoop_stats_;
+  std::uint32_t done_procs_ = 0;  // processors whose trace has completed
+  /// A processor reached ProcState::kDone (it never leaves it).
+  void proc_finished() { ++done_procs_; }
+  static void iface_queue_hook(void* ctx, const bus::BusInterface& iface,
+                               const bus::Transaction& txn, bool entered);
   std::uint32_t dsm_procs_per_node_ = 1;
   /// Extra memory service cycles the DSM model charges a request by
   /// `requester` on `line_addr` (0 under the bus model, for reflections, and
@@ -254,8 +295,9 @@ class Simulator final : public sync::SchemeServices {
   [[nodiscard]] bool tracing(std::uint32_t cat) const {
     return recorder_ != nullptr && recorder_->wants(cat);
   }
-  // Per-cache context for the coherence-transition hook (stable addresses:
-  // sized once in the constructor).
+  // Per-cache context for the coherence-transition hook, which keeps
+  // holders_ and feeds the coherence trace (stable addresses: sized once in
+  // the constructor).
   struct CacheHookCtx {
     Simulator* sim = nullptr;
     std::uint32_t proc = 0;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "bus/service_discipline.hpp"
+#include "util/bits.hpp"
+#include "util/rng.hpp"
 
 namespace syncpat::bus {
 namespace {
@@ -138,6 +144,180 @@ TEST(ServiceDiscipline, FcfsOrdersByStampThenPort) {
   EXPECT_EQ(order[1], 0u);  // stamp tie broken by port id
   EXPECT_EQ(order[2], 3u);
   EXPECT_EQ(order[3], 1u);  // requestless ports trail
+}
+
+/// The three port permutations as a full scan computes them (the arbiter's
+/// historical form): an oracle for scan_order() independent of offer().
+std::vector<std::uint32_t> reference_scan_order(DisciplineKind kind,
+                                                std::uint32_t ports,
+                                                std::uint32_t rotation,
+                                                const ArbRequest* req,
+                                                std::uint64_t now) {
+  std::vector<std::uint32_t> out;
+  switch (kind) {
+    case DisciplineKind::kRoundRobin:
+      for (std::uint32_t i = 0; i < ports; ++i) {
+        out.push_back((rotation + i) % ports);
+      }
+      break;
+    case DisciplineKind::kFixedPriority: {
+      out.push_back(ports - 1);
+      std::uint32_t oldest = ports;
+      for (std::uint32_t p = 0; p + 1 < ports; ++p) {
+        if (req[p].present &&
+            (oldest == ports || req[p].stamp < req[oldest].stamp)) {
+          oldest = p;
+        }
+      }
+      if (oldest != ports &&
+          now - req[oldest].stamp >=
+              FixedPriorityDiscipline::kStarvationEscapeCycles) {
+        out.push_back(oldest);
+      } else {
+        oldest = ports;
+      }
+      for (std::uint32_t p = 0; p + 1 < ports; ++p) {
+        if (p != oldest) out.push_back(p);
+      }
+      break;
+    }
+    case DisciplineKind::kFcfs:
+      for (std::uint32_t p = 0; p < ports; ++p) out.push_back(p);
+      std::sort(out.begin(), out.end(), [req](std::uint32_t a, std::uint32_t b) {
+        if (req[a].present != req[b].present) return req[a].present;
+        if (req[a].present && req[a].stamp != req[b].stamp) {
+          return req[a].stamp < req[b].stamp;
+        }
+        return a < b;
+      });
+      break;
+  }
+  return out;
+}
+
+/// Records every port offer() hands out; grants none.
+std::vector<std::uint32_t> offered_ports(ServiceDiscipline& d,
+                                         const std::uint64_t* ready,
+                                         const std::uint64_t* grantable,
+                                         const ArbRequest* req,
+                                         std::uint64_t now) {
+  std::vector<std::uint32_t> visited;
+  d.offer(ready, grantable, req, now,
+          [](void* ctx, std::uint32_t port) {
+            static_cast<std::vector<std::uint32_t>*>(ctx)->push_back(port);
+            return false;
+          },
+          &visited);
+  return visited;
+}
+
+// The arbiter ranks only ready ports (those with a request), reads stamps
+// only there, and offers only the grantable ones among them (while memory's
+// input buffer is full: upgrades, hand-offs and the memory port).  For every
+// discipline, scan_order() must equal the full-scan reference permutation;
+// the walk over the ready set must visit each eligible ready port exactly in
+// that permutation's relative order, and nothing outside the ready set; and
+// the walk over a grantable subset must be that walk restricted to the
+// subset.  Random ready sets over one to
+// three mask words (the last one partial at 65 and 130 ports), stamps drawn
+// from 8 values (so ties are common), random rotation pointers, and `now` on
+// both sides of the fixed-priority aging bound.
+TEST(ServiceDiscipline, ReadyPortOfferMatchesScanOrder) {
+  util::Rng rng(0xa4b);
+  for (const std::uint32_t ports : {3u, 64u, 65u, 130u}) {
+    for (const DisciplineKind kind :
+         {DisciplineKind::kRoundRobin, DisciplineKind::kFixedPriority,
+          DisciplineKind::kFcfs}) {
+      const auto discipline = make_discipline(kind, ports);
+      std::uint32_t promoted_rounds = 0;
+      for (int trial = 0; trial < 300; ++trial) {
+        const auto last_grant = static_cast<std::uint32_t>(rng.below(ports));
+        discipline->record_grant(last_grant, 0, false);
+        const std::uint64_t density = 1 + rng.below(4);  // of 4
+        std::vector<std::uint64_t> ready(util::bit_words(ports), 0);
+        std::vector<std::uint64_t> grantable(ready.size(), 0);
+        std::vector<ArbRequest> all(ports), at_ready(ports);
+        for (std::uint32_t p = 0; p < ports; ++p) {
+          if (rng.below(4) < density) {
+            util::set_bit(ready.data(), p);
+            if (rng.below(3) == 0) util::set_bit(grantable.data(), p);
+            all[p] = ArbRequest{rng.below(4) != 0, 1000 + rng.below(8) * 150};
+            at_ready[p] = all[p];
+          } else {
+            // A port without a request is never eligible; the offer's copy
+            // holds a decoy that would win every ranking if it were read.
+            all[p] = ArbRequest{false, 0};
+            at_ready[p] = ArbRequest{true, 0};
+          }
+        }
+        const std::uint64_t now = 2050 + rng.below(1100);
+
+        std::vector<std::uint32_t> order(ports);
+        discipline->scan_order(all.data(), now, order.data());
+        ASSERT_EQ(order, reference_scan_order(kind, ports,
+                                              (last_grant + 1) % ports,
+                                              all.data(), now))
+            << discipline_name(kind) << " ports=" << ports << " trial=" << trial;
+        const std::vector<std::uint32_t> visited = offered_ports(
+            *discipline, ready.data(), ready.data(), at_ready.data(), now);
+        const std::vector<std::uint32_t> subset_visited =
+            offered_ports(*discipline, ready.data(), grantable.data(),
+                          at_ready.data(), now);
+
+        const auto eligible = [&](std::uint32_t p) {
+          return util::test_bit(ready.data(), p) && all[p].present;
+        };
+        std::vector<std::uint32_t> expected, got, expected_subset;
+        for (const std::uint32_t p : order) {
+          if (eligible(p)) expected.push_back(p);
+        }
+        for (const std::uint32_t p : visited) {
+          ASSERT_TRUE(util::test_bit(ready.data(), p))
+              << discipline_name(kind) << " offered idle port " << p;
+          if (eligible(p)) got.push_back(p);
+          if (util::test_bit(grantable.data(), p)) expected_subset.push_back(p);
+        }
+        ASSERT_EQ(std::set<std::uint32_t>(visited.begin(), visited.end()).size(),
+                  visited.size())
+            << discipline_name(kind) << " offered a port twice";
+        ASSERT_EQ(got, expected)
+            << discipline_name(kind) << " ports=" << ports << " trial=" << trial;
+        ASSERT_EQ(subset_visited, expected_subset)
+            << discipline_name(kind) << " ports=" << ports << " trial=" << trial
+            << ": the grantable walk is not the ready walk restricted";
+        if (kind == DisciplineKind::kFixedPriority && ports > 3 &&
+            expected.size() > 1 && expected[0] != ports - 1 &&
+            expected[0] != *std::min_element(expected.begin(), expected.end())) {
+          ++promoted_rounds;
+        }
+      }
+      if (kind == DisciplineKind::kFixedPriority && ports > 3) {
+        EXPECT_GT(promoted_rounds, 0u) << "the aging escape never fired";
+      }
+    }
+  }
+}
+
+// One grant ends the round: the walk stops at the first port that accepts.
+TEST(ServiceDiscipline, OfferStopsAtTheFirstGrant) {
+  RoundRobinDiscipline rr(130);
+  rr.record_grant(99, 0, false);  // the rotation starts at port 100
+  std::vector<std::uint64_t> ready(util::bit_words(130), 0);
+  for (const std::uint32_t p : {5u, 64u, 120u, 129u}) {
+    util::set_bit(ready.data(), p);
+  }
+  struct Walk {
+    std::vector<std::uint32_t> visited;
+    std::uint32_t accept;
+  } walk{{}, 64};
+  EXPECT_TRUE(rr.offer(ready.data(), ready.data(), nullptr, 0,
+                       [](void* ctx, std::uint32_t port) {
+                         auto& w = *static_cast<Walk*>(ctx);
+                         w.visited.push_back(port);
+                         return port == w.accept;
+                       },
+                       &walk));
+  EXPECT_EQ(walk.visited, (std::vector<std::uint32_t>{120, 129, 5, 64}));
 }
 
 TEST(ServiceDiscipline, StatsTrackGrantsAndWaits) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
+#include "cache/holder_directory.hpp"
+#include "util/rng.hpp"
+
 namespace syncpat::cache {
 namespace {
 
@@ -161,6 +168,73 @@ TEST(Cache, DifferentSetsDoNotConflict) {
   for (std::uint32_t line : {0x00u, 0x10u, 0x20u, 0x30u}) {
     EXPECT_TRUE(c.access(line, AccessClass::kRead).hit) << line;
   }
+}
+
+// The snoop filter's directory against a plain reference under random
+// updates.  P = 130 makes the pooled holder masks three words with a partial
+// last one; holders must come back in ascending order through both the
+// inline one-holder form and the masks; write-back counts are independent of
+// holders; and erasing emptied slots (backward shift) must never lose a line
+// that collided with them.  3000 lines force several table growths.
+TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
+  constexpr std::uint32_t kProcs = 130;
+  HolderDirectory dir(kProcs);
+  struct RefLine {
+    std::set<std::uint32_t> holders;
+    std::uint32_t writebacks = 0;
+  };
+  std::map<std::uint32_t, RefLine> ref;
+  util::Rng rng(7);
+  std::vector<std::uint32_t> out(kProcs);
+  const auto check_line = [&](std::uint32_t line, const RefLine& r) {
+    const std::uint32_t n = dir.holders(line, out.data());
+    ASSERT_EQ(std::vector<std::uint32_t>(out.begin(), out.begin() + n),
+              std::vector<std::uint32_t>(r.holders.begin(), r.holders.end()))
+        << "line 0x" << std::hex << line;
+    ASSERT_EQ(dir.buffered_writebacks(line), r.writebacks);
+  };
+  for (int op = 0; op < 200'000; ++op) {
+    const auto line = static_cast<std::uint32_t>(rng.below(3000)) * 16;
+    RefLine& r = ref[line];
+    switch (rng.below(4)) {
+      case 0:
+      case 1: {
+        const auto p = static_cast<std::uint32_t>(rng.below(kProcs));
+        if (r.holders.erase(p) > 0) {
+          dir.remove_holder(line, p);
+        } else {
+          r.holders.insert(p);
+          dir.add_holder(line, p);
+        }
+        break;
+      }
+      case 2:
+        ++r.writebacks;
+        dir.add_writeback(line);
+        break;
+      default:
+        if (r.writebacks > 0) {
+          --r.writebacks;
+          dir.remove_writeback(line);
+        }
+        break;
+    }
+    if (op % 1000 == 0) check_line(line, r);
+  }
+  std::size_t live = 0;
+  for (const auto& [line, r] : ref) {
+    check_line(line, r);
+    if (!r.holders.empty() || r.writebacks > 0) ++live;
+  }
+  std::size_t tracked = 0;
+  dir.for_each_line([&](std::uint32_t line, std::uint32_t holders,
+                        std::uint32_t writebacks) {
+    ++tracked;
+    const RefLine& r = ref.at(line);
+    EXPECT_EQ(holders, r.holders.size());
+    EXPECT_EQ(writebacks, r.writebacks);
+  });
+  EXPECT_EQ(tracked, live) << "emptied lines must leave the table";
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include "bus/service_discipline.hpp"
 #include "core/event_queue.hpp"
+#include "core/invariant_checker.hpp"
 #include "core/machine_config.hpp"
 #include "core/results.hpp"
 #include "core/simulator.hpp"
@@ -409,6 +410,120 @@ TEST(LargeP, EventQueueHandles1024Sources) {
     popped += taken;
   }
   EXPECT_EQ(popped, 1024u);
+}
+
+// ---------------------------------------------------------------------------
+// Snoop filter and ready-port arbitration: host bookkeeping that makes an
+// event's cost independent of P and must leave every result unchanged.
+// ---------------------------------------------------------------------------
+
+/// bench_scaling's contended weak-scaling workload (two shared locks, 90 %
+/// on the dominant one, one closing barrier), at `refs` references.
+workload::BenchmarkProfile scale_study(std::uint32_t procs, std::uint64_t refs) {
+  workload::BenchmarkProfile p;
+  p.name = "ScaleStudy";
+  p.num_procs = procs;
+  p.refs_per_proc = refs;
+  p.data_ref_fraction = 0.35;
+  p.work_cycles_per_ref = 3.0;
+  p.locking.pairs_per_proc = 2;
+  p.locking.cs_work_cycles = 30.0;
+  p.locking.num_locks = 2;
+  p.locking.dominant_weight = 0.9;
+  p.locking.partitioned = false;
+  p.locking.cs_region_bias = 0.8;
+  p.locking.barriers_per_proc = 1;
+  p.seed = 0x5ca1e;
+  return p;
+}
+
+// Outside a buffered-write-back fallback, snoop_others() probes only caches
+// that hold the line, so every probe finds it and books exactly one supply
+// or received invalidation: probes per snooping transaction are its holders,
+// not P - 1.
+TEST(SnoopFilter, EveryProbeFindsTheLineAtP256) {
+  constexpr std::uint32_t kProcs = 256;
+  trace::ProgramTrace program =
+      workload::make_program_trace(scale_study(kProcs, 150));
+  core::MachineConfig cfg;
+  cfg.num_procs = kProcs;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+  core::Simulator sim(cfg, program);
+  const core::SimulationResult r = sim.run();
+  const core::SnoopStats& snoops = sim.snoop_stats();
+  std::uint64_t found = 0;
+  for (std::uint32_t p = 0; p < kProcs; ++p) {
+    const cache::CacheStats& cs = sim.cache_of(p).stats();
+    found += cs.supplies + cs.invalidations_received;
+  }
+  ASSERT_EQ(snoops.writeback_fallbacks, 0u)
+      << "the profile no longer avoids the fallback; pick one that does";
+  EXPECT_EQ(snoops.probes, found);
+  const std::uint64_t snooping = r.traffic.reads + r.traffic.readx +
+                                 r.traffic.upgrades + r.traffic.write_throughs;
+  EXPECT_GT(snooping, 0u);
+  EXPECT_GT(found, 0u);
+  // Broadcast snooping would have probed (P - 1) caches per transaction.
+  EXPECT_LT(snoops.probes, snooping * (kProcs - 1) / 10);
+}
+
+/// Runs `profile` on DES with the invariant checker attached (its sweeps
+/// cross-check the holder directory) and on per-cycle ticking, under every
+/// discipline and both consistency models; the renders must match and the
+/// checker must stay clean.  Returns the DES runs' write-back fallbacks.
+std::uint64_t expect_des_matches_tick(const workload::BenchmarkProfile& profile,
+                                      core::MachineConfig cfg) {
+  std::uint64_t fallbacks = 0;
+  for (const bus::DisciplineKind discipline :
+       {bus::DisciplineKind::kRoundRobin, bus::DisciplineKind::kFixedPriority,
+        bus::DisciplineKind::kFcfs}) {
+    for (const bus::ConsistencyModel model :
+         {bus::ConsistencyModel::kSequential, bus::ConsistencyModel::kWeak}) {
+      cfg.num_procs = profile.num_procs;
+      cfg.bus_discipline = discipline;
+      cfg.consistency = model;
+      const std::string label = std::string(bus::discipline_name(discipline)) +
+                                "/" + bus::consistency_name(model);
+      const std::string tick =
+          run_rendered(profile, cfg, core::EngineKind::kTick);
+      core::MachineConfig checked = cfg;
+      checked.engine = core::EngineKind::kDes;
+      checked.invariants.enabled = true;
+      trace::ProgramTrace program = workload::make_program_trace(profile);
+      core::Simulator sim(checked, program);
+      EXPECT_EQ(fuzz::render_result(sim.run()), tick)
+          << "engines diverged: " << label;
+      const core::InvariantChecker& checker = *sim.invariant_checker();
+      EXPECT_TRUE(checker.ok())
+          << label << ": " << checker.violation_count()
+          << " violations, first: "
+          << (checker.violations().empty() ? "" : checker.violations()[0]);
+      fallbacks += sim.snoop_stats().writeback_fallbacks;
+    }
+  }
+  return fallbacks;
+}
+
+// P = 130 spreads the holder masks over three words and the ready set over
+// three (ports 0-130, memory at 130), each with a partial last word.
+TEST(SnoopFilter, DesMatchesTickAtP130UnderEveryDiscipline) {
+  core::MachineConfig cfg;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+  cfg.cache.size_bytes = 256;  // evicts constantly: holders come and go
+  expect_des_matches_tick(scale_study(130, 30), cfg);
+}
+
+// A snoop that finds a write-back of its line still buffered visits every
+// processor, as the bus does.  A 256-byte cache makes Grav evict shared
+// dirty lines constantly, and reads bypassing buffered write-backs under
+// weak ordering leave them queued long enough to be snooped.
+TEST(SnoopFilter, WritebackFallbackMatchesTick) {
+  core::MachineConfig cfg;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+  cfg.cache.size_bytes = 256;
+  EXPECT_GT(expect_des_matches_tick(profile_by_name("Grav").scaled(64), cfg),
+            0u)
+      << "no run exercised the write-back fallback";
 }
 
 // ---------------------------------------------------------------------------
