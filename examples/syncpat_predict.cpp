@@ -17,6 +17,8 @@
 //     --min-cases K         schemes with fewer scored cases than K are
 //                           reported but not gated (default 3)
 //     --verbose             print every scored case (signed error, bounds)
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -88,9 +90,16 @@ int main(int argc, char** argv) {
       else if (arg == "--json") json_path = value();
       else if (arg == "--verbose") verbose = true;
       else if (arg == "--max-median-error") {
-        max_median_error = std::stod(value());
-        if (max_median_error <= 0.0) {
-          std::cerr << "error: --max-median-error must be positive\n";
+        // The whole string must parse, and a NaN bound would turn the
+        // gate below off.
+        const std::string text = value();
+        const char* end = text.data() + text.size();
+        const auto [ptr, ec] =
+            std::from_chars(text.data(), end, max_median_error);
+        if (ec != std::errc{} || ptr != end ||
+            !std::isfinite(max_median_error) || max_median_error <= 0.0) {
+          std::cerr << "error: --max-median-error must be a positive finite "
+                       "number, got \"" << text << "\"\n";
           return 2;
         }
       }

@@ -1,16 +1,17 @@
-// Trace-pipeline walkthrough: generate a calibrated benchmark model, save it
-// as a full binary trace, compact it MPTrace-style, verify the expansion is
-// lossless, and re-analyze the loaded file — the whole §2.1 toolchain.
+// Trace-file walkthrough: generate a calibrated benchmark model, save it as
+// a binary trace in the working directory, and re-analyze the loaded file.
+// The written <profile>.sptrace is what `syncpat_cli --program FILE` reads.
 //
 //   ./trace_tools [profile-name] [scale]   (default: Pdsa at 1/64 length)
-#include <cstdlib>
+#include <cstdint>
+#include <exception>
 #include <iostream>
 #include <string>
 
 #include "trace/analyzer.hpp"
 #include "trace/io.hpp"
-#include "trace/mpt.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -18,8 +19,13 @@ int main(int argc, char** argv) {
   using namespace syncpat;
 
   const std::string wanted = argc > 1 ? argv[1] : "Pdsa";
-  const std::uint64_t scale =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 64;
+  std::uint64_t scale = 64;
+  try {
+    if (argc > 2) scale = util::parse_positive_u64(argv[2], "scale");
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 
   workload::BenchmarkProfile profile;
   bool found = false;
@@ -30,9 +36,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!found) {
-    std::cerr << "unknown profile '" << wanted
+    std::cerr << "error: unknown profile '" << wanted
               << "' (try Grav, Pdsa, FullConn, Pverify, Qsort, Topopt)\n";
-    return 1;
+    return 2;
   }
 
   std::cout << "Generating " << profile.name << " at 1/" << scale
@@ -40,41 +46,18 @@ int main(int argc, char** argv) {
   trace::ProgramTrace program =
       workload::make_program_trace(profile.scaled(scale));
 
-  // Save the expanded trace.
-  const std::string path = "/tmp/" + profile.name + ".sptrace";
-  trace::save_program_trace(path, program);
-  std::cout << "  wrote " << path << "\n";
-
-  // Compact processor 0's stream MPTrace-style and report the ratio.
-  program.reset_all();
-  const trace::MptStream compacted = trace::compact(*program.per_proc[0]);
-  const std::uint64_t full_bytes = compacted.expanded_size() * 9;
-  std::cout << "  MPT compaction (processor 0): "
-            << util::with_commas(full_bytes) << " -> "
-            << util::with_commas(compacted.compact_bytes()) << " bytes ("
-            << util::fixed(100.0 * static_cast<double>(compacted.compact_bytes()) /
-                               static_cast<double>(full_bytes),
-                           1)
-            << "% of full), dictionary of " << compacted.dictionary.size()
-            << " block skeletons\n";
-
-  // Verify lossless expansion.
-  program.reset_all();
-  trace::MptExpander expander(compacted);
-  trace::Event a, b;
-  std::uint64_t checked = 0;
-  while (program.per_proc[0]->next(a)) {
-    if (!expander.next(b) || !(a == b)) {
-      std::cerr << "  MPT expansion mismatch at event " << checked << "\n";
-      return 1;
-    }
-    ++checked;
+  const std::string path = profile.name + ".sptrace";
+  trace::ProgramTrace loaded;
+  try {
+    trace::save_program_trace(path, program);
+    std::cout << "  wrote " << path << "\n";
+    loaded = trace::load_program_trace(path);
+  } catch (const trace::TraceIoError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
-  std::cout << "  expansion verified lossless over "
-            << util::with_commas(checked) << " events\n";
 
-  // Reload the file and run the ideal analysis on it.
-  trace::ProgramTrace loaded = trace::load_program_trace(path);
+  // Run the ideal analysis on the reloaded file.
   const trace::IdealProgramStats stats = trace::analyze_program(loaded);
   std::cout << "\nIdeal analysis of the reloaded trace:\n"
             << "  procs        : " << stats.num_procs << "\n  refs/proc    : "

@@ -60,14 +60,6 @@ std::vector<SchemeErrorSummary> ModelValidation::per_scheme() const {
   return out;
 }
 
-double ModelValidation::worst_median_error(std::uint64_t min_cases) const {
-  double worst = 0.0;
-  for (const SchemeErrorSummary& s : per_scheme()) {
-    if (s.cases >= min_cases) worst = std::max(worst, s.median_error);
-  }
-  return worst;
-}
-
 Table ModelValidation::table() const {
   Table t("Model validation: predicted vs simulated run time (seed " +
           std::to_string(master_seed) + ", " + std::to_string(requested) +

@@ -54,8 +54,6 @@ struct ModelValidation {
 
   /// Per-scheme error summaries, scheme name order, schemes with >= 1 case.
   [[nodiscard]] std::vector<SchemeErrorSummary> per_scheme() const;
-  /// Worst per-scheme median error over schemes with >= `min_cases` cases.
-  [[nodiscard]] double worst_median_error(std::uint64_t min_cases) const;
   /// The scheme x P-band error table rendered for humans.
   [[nodiscard]] Table table() const;
 };

@@ -3,8 +3,7 @@
 // Paper-scale traces run to millions of references per processor, so nothing
 // in the pipeline requires a materialized trace: the simulator, the ideal
 // analyzer, and the trace writers all consume a TraceSource one event at a
-// time.  Vector-backed sources exist for tests, file loads, and the kernel
-// generators (which record as they execute).
+// time.  Vector-backed sources exist for tests and file loads.
 #pragma once
 
 #include <cstdint>

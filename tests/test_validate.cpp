@@ -4,7 +4,6 @@
 
 #include "test_util.hpp"
 #include "workload/generator.hpp"
-#include "workload/kernels/barnes_hut.hpp"
 #include "workload/profiles.hpp"
 
 namespace syncpat::trace {
@@ -123,7 +122,7 @@ TEST(Validate, SourcesUsableAfterValidation) {
   EXPECT_TRUE(program.per_proc[0]->next(e));
 }
 
-// Every built-in workload generator and kernel must emit valid traces.
+// Every built-in workload profile must emit valid traces.
 class ValidateWorkloads : public ::testing::TestWithParam<int> {};
 
 TEST_P(ValidateWorkloads, GeneratedTracesAreWellFormed) {
@@ -137,15 +136,6 @@ TEST_P(ValidateWorkloads, GeneratedTracesAreWellFormed) {
 
 INSTANTIATE_TEST_SUITE_P(PaperWorkloads, ValidateWorkloads,
                          ::testing::Range(0, 6));
-
-TEST(Validate, KernelTracesAreWellFormed) {
-  workload::BarnesHutParams params;
-  params.num_threads = 4;
-  params.num_bodies = 150;
-  ProgramTrace program = workload::barnes_hut_trace(params);
-  const ValidationReport r = validate_program(program);
-  EXPECT_TRUE(r.ok()) << r.to_string();
-}
 
 }  // namespace
 }  // namespace syncpat::trace
