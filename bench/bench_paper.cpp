@@ -63,8 +63,8 @@ struct Options {
 /// values exit 2 with an "error: " message.
 Options parse_args(int argc, char** argv) {
   Options opts;
+  opts.jobs = bench::jobs_or_die();
   try {
-    opts.jobs = core::jobs_from_env(0);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto value_of = [&](const std::string& flag) -> std::optional<std::string> {
@@ -118,34 +118,6 @@ bool print_figure1() {
   return stall == 6;
 }
 
-/// Runs the cells on the engine; a cell error or invariant violation exits 1.
-core::GridResult run_or_die(std::vector<core::ExperimentCell> cells,
-                            std::uint32_t jobs) {
-  core::EngineOptions options;
-  options.jobs = jobs;
-  core::GridResult run = core::run_grid(std::move(cells), options);
-  bool failed = false;
-  for (std::size_t i = 0; i < run.size(); ++i) {
-    const core::CellResult& cell = run.results[i];
-    if (!cell.ok()) {
-      std::cerr << "error: cell " << run.cells[i].label() << " failed: "
-                << cell.error << "\n";
-      failed = true;
-    } else if (cell.outcome.invariants.violations > 0) {
-      std::cerr << "error: cell " << run.cells[i].label() << " had "
-                << cell.outcome.invariants.violations
-                << " invariant violations; first: "
-                << (cell.outcome.invariants.samples.empty()
-                        ? "<none recorded>"
-                        : cell.outcome.invariants.samples[0])
-                << "\n";
-      failed = true;
-    }
-  }
-  if (failed) std::exit(1);
-  return run;
-}
-
 /// Writes one Chrome trace file per cell, the cell label spliced into `base`
 /// before its extension, then prints Grav's lock hand-off timelines (§2.3
 /// attribution).
@@ -182,13 +154,9 @@ int main(int argc, char** argv) {
   base.trace.enabled = !opts.trace_out.empty();
   base.trace.categories = opts.trace_categories;
   const core::GridResult run =
-      run_or_die(report::paper_cells(base, scale), opts.jobs);
+      bench::run_or_die(report::paper_cells(base, scale), opts.jobs);
 
-  std::cout << "[trace scale 1/" << scale
-            << " of paper length; set SYNCPAT_SCALE=1 for full length | grid "
-               "ran in "
-            << run.wall_ms << " ms on " << run.jobs_used << " worker"
-            << (run.jobs_used == 1 ? "" : "s") << "]\n\n";
+  bench::print_grid_banner(scale, run);
   report::print_paper_tables(run, std::cout);
   if (base.trace.enabled && !write_traces(run, opts.trace_out)) return 1;
   return probe_ok ? 0 : 1;

@@ -9,12 +9,13 @@
 // on the discrete-event engine, and emits waiters-at-transfer and
 // bus-utilization curves against P.
 //
-// Emits BENCH_scaling.json (path via argv[1], default ./BENCH_scaling.json)
-// so the curves are tracked in-repo.  `--smoke` switches to a seconds-long
-// P in {4, 16, 64} sweep with a shorter trace — the tier-1 `scaling-smoke`
-// ctest entry, which guards the large-P machinery (interleaved private
-// segments, widened Anderson rings, clamped cold slices) end to end without
-// the full study's cost.
+// Usage: bench_scaling [--smoke] [OUT.json].  Emits BENCH_scaling.json
+// (default ./BENCH_scaling.json) so the curves are tracked in-repo; any other
+// option, or an argument after the path, exits 2.  `--smoke` switches to a
+// seconds-long P in {4, 16, 64} sweep with a shorter trace — the tier-1
+// `scaling-smoke` ctest entry, which guards the large-P machinery
+// (interleaved private segments, widened Anderson rings, clamped cold
+// slices) end to end without the full study's cost.
 //
 // The workload is non-partitioned by design: partitioned profiles give every
 // processor its own lock set, and at P = 1024 that many Anderson slot rings
@@ -34,7 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -167,11 +167,24 @@ void emit_json(std::ostream& out, bool smoke,
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_scaling.json";
   bool smoke = false;
+  bool have_path = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string arg = argv[i];
+    if (have_path) {
+      std::cerr << "error: unexpected argument " << arg
+                << " after the output path\nusage: " << argv[0]
+                << " [--smoke] [OUT.json]\n";
+      return 2;
+    }
+    if (arg == "--smoke") {
       smoke = true;
+    } else if (arg.rfind('-', 0) == 0) {
+      std::cerr << "error: unknown option " << arg << "\nusage: " << argv[0]
+                << " [--smoke] [OUT.json]\n";
+      return 2;
     } else {
-      out_path = argv[i];
+      out_path = arg;
+      have_path = true;
     }
   }
 

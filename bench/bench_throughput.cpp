@@ -3,11 +3,12 @@
 // weak consistency, with the discrete-event engine against its per-cycle
 // tick oracle.
 //
-// Emits BENCH_simulator.json (path via argv[1], default ./BENCH_simulator.json)
-// so the perf trajectory is tracked in-repo.  Wall time covers Simulator::run()
-// only (trace synthesis is timed separately and reported once per profile);
-// each cell takes the best of SYNCPAT_BENCH_REPS repetitions (default 3) to
-// shave scheduler noise.  The bench also cross-checks that both engines finish
+// Usage: bench_throughput [OUT.json].  Emits BENCH_simulator.json (default
+// ./BENCH_simulator.json) so the perf trajectory is tracked in-repo; an
+// option, or an argument after the path, exits 2.  Wall time covers
+// Simulator::run() only (trace synthesis is timed separately and reported
+// once per profile); each cell takes the best of SYNCPAT_BENCH_REPS
+// repetitions (default 3) to shave scheduler noise.  The bench also cross-checks that both engines finish
 // on the same cycle — a cheap tripwire for the byte-identity contract that
 // tests/test_engine.cpp verifies in full.
 //
@@ -235,9 +236,20 @@ double bench_metrics_overhead(std::uint64_t scale, std::uint32_t reps,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && argv[1][0] == '-') {
+    std::cerr << "error: unknown option " << argv[1] << "\nusage: " << argv[0]
+              << " [OUT.json]\n";
+    return 2;
+  }
+  if (argc > 2) {
+    std::cerr << "error: unexpected argument " << argv[2]
+              << " after the output path\nusage: " << argv[0]
+              << " [OUT.json]\n";
+    return 2;
+  }
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_simulator.json";
   const std::uint64_t scale = syncpat::bench::scale_or_die();
   const std::uint32_t reps = reps_from_env();
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_simulator.json";
 
   // The four paper profiles, plus coarse-grained Grav variants (more work
   // cycles between references — the regime of coarse-grained-locking sweeps)
