@@ -241,8 +241,8 @@ void InvariantChecker::on_lock_step(std::uint32_t proc,
                                     std::uint32_t line_addr,
                                     std::uint8_t step) {
   // The completion of the initial atomic acquire access is what serializes
-  // waiters on the bus: it defines the FIFO order the queuing, ticket and
-  // Anderson schemes promise to grant in.
+  // waiters on the bus: it defines the FIFO order the FIFO schemes (queuing,
+  // ticket, Anderson, MCS, CLH) promise to grant in.
   if (!fifo_scheme_ || step != sync::kStepAcquire) return;
   if (acquiring_[proc] != line_addr) return;
   std::deque<std::uint32_t>& queue = fifo_queue_[line_addr];

@@ -20,10 +20,11 @@
 //    phases, independently of the simulator's own line_inflight_ bookkeeping.
 //  * Lock mutual exclusion: a processor only acquires a lock no other
 //    processor holds, and only releases a lock it holds.
-//  * FIFO hand-off for the FIFO schemes (queuing, ticket, Anderson): lock
-//    grants follow the order in which the initial atomic acquire accesses
-//    completed on the bus.  (The exact Graunke-Thakkar variant is excluded:
-//    its two-access enqueue admits a benign reordering window, §2.4.)
+//  * FIFO hand-off for the FIFO schemes (the simulator's is_fifo_scheme:
+//    queuing, ticket, Anderson, MCS, CLH): lock grants follow the order in
+//    which the initial atomic acquire accesses completed on the bus.  (The
+//    exact Graunke-Thakkar variant is excluded: its two-access enqueue
+//    admits a benign reordering window, §2.4.)
 //
 // Violations are counted and a bounded sample of messages is kept; the
 // checker never aborts the simulation, so tests can assert on the outcome.

@@ -982,11 +982,6 @@ void Simulator::proc_wait(std::uint32_t proc, bool spinning,
   procs_[proc]->enter_lock_wait(spinning);
 }
 
-void Simulator::stop_spin(std::uint32_t proc) {
-  des_touch(proc);
-  spin_line_[proc] = 0;
-}
-
 void Simulator::proc_acquired(std::uint32_t proc) {
   des_touch(proc);
   if (checker_) checker_->on_acquired(proc);
@@ -1089,7 +1084,7 @@ void Simulator::schedule_timer(std::uint32_t proc, std::uint32_t line_addr,
 SimulationResult Simulator::collect_results() const {
   SimulationResult result;
   result.program = program_name_;
-  result.scheme = scheme_->name();
+  result.scheme = sync::scheme_kind_name(cfg_.lock_scheme);
   result.consistency = bus::consistency_name(cfg_.consistency);
   result.num_procs = static_cast<std::uint32_t>(procs_.size());
   result.locks = lock_stats_.total();

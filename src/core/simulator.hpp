@@ -96,7 +96,6 @@ class Simulator final : public sync::SchemeServices {
                                             std::uint32_t line_addr) const override;
   void proc_wait(std::uint32_t proc, bool spinning,
                  std::uint32_t spin_line) override;
-  void stop_spin(std::uint32_t proc) override;
   void proc_acquired(std::uint32_t proc) override;
   void proc_release_done(std::uint32_t proc) override;
   void schedule_timer(std::uint32_t proc, std::uint32_t line_addr,

@@ -49,112 +49,53 @@ std::uint32_t AndersonLock::slot_line(std::uint32_t lock_line,
 }
 
 void AndersonLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  const bool contended = lock.owner >= 0 || !lock.queue.empty();
+  AndersonState& lock = locks_[lock_line];
   // Fetch&increment of the slot counter.
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true,
-                           contended ? bus::StallCause::kLockWait
-                                     : bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepAcquire);
-}
-
-void AndersonLock::spin_on_slot(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  const std::uint32_t line = slot_line(lock_line, lock.slot_of.at(proc));
-  slot_to_lock_[line] = lock_line;
-  const cache::LineState state = services_.line_state(proc, line);
-  if (state == cache::LineState::kShared ||
-      state == cache::LineState::kExclusive ||
-      state == cache::LineState::kModified) {
-    services_.proc_wait(proc, /*spinning=*/true, line);
-  } else {
-    services_.issue_lock_txn(proc, line, bus::TxnKind::kRead,
-                             /*forced=*/false, bus::StallCause::kLockWait,
-                             /*stalls=*/true, kStepSpinRead);
-  }
+  atomic(proc, lock_line, lock.owner >= 0 || !lock.queue.empty(),
+         kStepAcquire);
 }
 
 void AndersonLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                                    std::uint8_t step) {
   switch (step) {
     case kStepAcquire: {
-      LockState& lock = locks_[line_addr];
+      AndersonState& lock = locks_[line_addr];
       lock.slot_of[proc] =
           static_cast<std::uint32_t>(lock.next_ticket++ %
                                      services_.num_procs());
       if (lock.owner < 0 && lock.queue.empty() && !lock.handoff_pending) {
-        lock.owner = static_cast<std::int32_t>(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.queue.size());
-        services_.proc_acquired(proc);
+        grant(lock, proc, line_addr, lock.queue.size());
       } else {
         lock.queue.push_back(proc);
-        spin_on_slot(proc, line_addr);
+        waiting_on_[proc] = line_addr;
+        spin(proc, slot_line(line_addr, lock.slot_of.at(proc)));
       }
       break;
     }
-    case kStepSpinRead: {
-      const std::uint32_t lock_line = slot_to_lock_.at(line_addr);
-      LockState& lock = locks_[lock_line];
-      if (granted_.erase(proc) > 0) {
-        lock.owner = static_cast<std::int32_t>(proc);
-        lock.handoff_pending = false;
-        stats_.acquired(lock_line, proc, services_.now(), lock.queue.size());
-        services_.proc_acquired(proc);
-      } else {
-        spin_on_slot(proc, lock_line);
-      }
+    case kStepSpinRead:
+      take_or_spin(proc, line_addr);  // line_addr is the waiter's slot line
       break;
-    }
-    case kStepRelease: {
+    case kStepRelease:
       // The write to the next waiter's slot performed; the releaser is done.
       // (Its grant-time snoop already invalidated the waiter's spin line.)
       services_.proc_release_done(proc);
       break;
-    }
     default:
       SYNCPAT_ASSERT_MSG(false, "unexpected Anderson-lock step");
   }
 }
 
-void AndersonLock::on_spin_invalidated(std::uint32_t proc,
-                                       std::uint32_t line_addr) {
-  services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kRead,
-                           /*forced=*/false, bus::StallCause::kLockWait,
-                           /*stalls=*/true, kStepSpinRead);
-}
-
 void AndersonLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "Anderson release by non-owner");
-  stats_.release_issued(lock_line, services_.now());
+  AndersonState& lock = begin_release_of(proc, lock_line);
   if (lock.queue.empty()) {
-    lock.owner = -1;
-    stats_.released(lock_line, services_.now(), false, 0);
+    free(lock, lock_line, false, 0);
     services_.proc_release_done(proc);
     return;
   }
-  const std::uint32_t next = lock.queue.front();
-  lock.queue.pop_front();
-  lock.owner = -1;
-  lock.handoff_pending = true;
-  granted_.insert(next);
-  stats_.released(lock_line, services_.now(), true, lock.queue.size());
+  const std::uint32_t next = hand_off(lock, lock_line);
   // Write "go" into the next waiter's slot line: one targeted invalidation.
-  const std::uint32_t line = slot_line(lock_line, lock.slot_of.at(next));
-  slot_to_lock_[line] = lock_line;
-  services_.issue_lock_txn(proc, line, bus::TxnKind::kReadX,
-                           /*forced=*/true, bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepRelease);
-}
-
-bool AndersonLock::held_by_other(std::uint32_t proc,
-                                 std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  atomic(proc, slot_line(lock_line, lock.slot_of.at(next)),
+         /*contended=*/false, kStepRelease);
 }
 
 }  // namespace syncpat::sync

@@ -11,29 +11,26 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "sync/lock_stats.hpp"
 #include "sync/scheme.hpp"
 
 namespace syncpat::sync {
 
-class AndersonLock final : public LockScheme {
+struct AndersonState : HandoffState {
+  std::uint64_t next_ticket = 0;
+  std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
+};
+
+class AndersonLock final : public HandoffScheme<AndersonState> {
  public:
   AndersonLock(SchemeServices& services, LockStatsCollector& stats)
-      : services_(services), stats_(stats) {}
+      : HandoffScheme(services, stats) {}
 
   void begin_acquire(std::uint32_t proc, std::uint32_t lock_line) override;
   void begin_release(std::uint32_t proc, std::uint32_t lock_line) override;
   void on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                        std::uint8_t step) override;
-  void on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) override;
-
-  [[nodiscard]] const char* name() const override { return "anderson"; }
-  [[nodiscard]] bool held_by_other(std::uint32_t proc,
-                                   std::uint32_t lock_line) const override;
 
   /// The cache line of array slot `slot` of the lock at `lock_line`.
   [[nodiscard]] std::uint32_t slot_line(std::uint32_t lock_line,
@@ -41,23 +38,6 @@ class AndersonLock final : public LockScheme {
   /// Lines in the per-lock slot ring: max(64, bit_ceil(num_procs)), so every
   /// outstanding waiter spins on its own line at any machine size.
   [[nodiscard]] std::uint32_t slot_ring_size() const;
-
- private:
-  struct LockState {
-    std::int32_t owner = -1;
-    bool handoff_pending = false;  // a dequeued waiter's grant is in flight
-    std::uint64_t next_ticket = 0;
-    std::deque<std::uint32_t> queue;                       // waiting procs
-    std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
-  };
-
-  void spin_on_slot(std::uint32_t proc, std::uint32_t lock_line);
-
-  SchemeServices& services_;
-  LockStatsCollector& stats_;
-  std::unordered_map<std::uint32_t, LockState> locks_;
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_to_lock_;
-  std::unordered_set<std::uint32_t> granted_;  // procs whose slot was flipped
 };
 
 }  // namespace syncpat::sync

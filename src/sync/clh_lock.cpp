@@ -15,72 +15,41 @@ std::uint32_t ClhLock::node_line(std::uint32_t proc) {
 }
 
 void ClhLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  const bool contended = lock.owner >= 0 || !lock.queue.empty() ||
-                         lock.handoff_pending;
+  ClhState& lock = locks_[lock_line];
   // swap(tail, my-node): an atomic ownership transaction on the lock line.
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true,
-                           contended ? bus::StallCause::kLockWait
-                                     : bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepAcquire);
-}
-
-void ClhLock::grant_or_spin(std::uint32_t proc, std::uint32_t line_addr,
-                            std::uint32_t lock_line) {
-  LockState& lock = locks_.at(lock_line);
-  if (granted_.erase(proc) > 0) {
-    lock.owner = static_cast<std::int32_t>(proc);
-    lock.handoff_pending = false;
-    stats_.acquired(lock_line, proc, services_.now(), lock.queue.size());
-    services_.proc_acquired(proc);
-    return;
-  }
-  const cache::LineState state = services_.line_state(proc, line_addr);
-  if (state == cache::LineState::kShared ||
-      state == cache::LineState::kExclusive ||
-      state == cache::LineState::kModified) {
-    services_.proc_wait(proc, /*spinning=*/true, line_addr);
-  } else {
-    services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kRead,
-                             /*forced=*/false, bus::StallCause::kLockWait,
-                             /*stalls=*/true, kStepSpinRead);
-  }
-}
-
-void ClhLock::spin_on_pred_node(std::uint32_t proc, std::uint32_t pred,
-                                std::uint32_t lock_line) {
-  spin_lock_of_[proc] = lock_line;
-  grant_or_spin(proc, node_line(pred), lock_line);
+  atomic(proc, lock_line,
+         lock.owner >= 0 || !lock.queue.empty() || lock.handoff_pending,
+         kStepAcquire);
 }
 
 void ClhLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                               std::uint8_t step) {
   switch (step) {
     case kStepAcquire: {
-      LockState& lock = locks_[line_addr];
+      ClhState& lock = locks_[line_addr];
       const std::int32_t pred = lock.tail;
       lock.tail = static_cast<std::int32_t>(proc);
       if (pred < 0) {
         // Swap returned the initial (unlocked) sentinel: the lock was free.
-        lock.owner = static_cast<std::int32_t>(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.queue.size());
-        services_.proc_acquired(proc);
-      } else if (lock.tail_unlocked) {
+        grant(lock, proc, line_addr, lock.queue.size());
+        break;
+      }
+      if (lock.tail_unlocked) {
         // The predecessor's node was already released (idle lock): the first
         // read of it observes "unlocked" — a cache hit when re-acquiring
         // one's own previous node, one read transaction otherwise.
         lock.tail_unlocked = false;
         granted_.insert(proc);
-        spin_on_pred_node(proc, static_cast<std::uint32_t>(pred), line_addr);
       } else {
         lock.queue.push_back(proc);
-        spin_on_pred_node(proc, static_cast<std::uint32_t>(pred), line_addr);
       }
+      // Spin on the predecessor's node.
+      waiting_on_[proc] = line_addr;
+      take_or_spin(proc, node_line(static_cast<std::uint32_t>(pred)));
       break;
     }
     case kStepSpinRead:
-      grant_or_spin(proc, line_addr, spin_lock_of_.at(proc));
+      take_or_spin(proc, line_addr);
       break;
     case kStepRelease:
       // The unlock write to the releaser's own node performed; its snoop
@@ -92,34 +61,17 @@ void ClhLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
   }
 }
 
-void ClhLock::on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) {
-  services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kRead,
-                           /*forced=*/false, bus::StallCause::kLockWait,
-                           /*stalls=*/true, kStepSpinRead);
-}
-
 void ClhLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "CLH release by non-owner");
-  stats_.release_issued(lock_line, services_.now());
+  ClhState& lock = begin_release_of(proc, lock_line);
   const std::uint32_t line = node_line(proc);
-  const cache::LineState state = services_.line_state(proc, line);
-  const bool silent = state == cache::LineState::kModified ||
-                      state == cache::LineState::kExclusive;
+  const bool silent = exclusive(proc, line);
   if (lock.queue.empty()) {
     SYNCPAT_ASSERT_MSG(lock.tail == static_cast<std::int32_t>(proc),
                        "CLH tail lost without a queued successor");
     lock.tail_unlocked = true;
-    lock.owner = -1;
-    stats_.released(lock_line, services_.now(), false, 0);
+    free(lock, lock_line, false, 0);
   } else {
-    const std::uint32_t next = lock.queue.front();
-    lock.queue.pop_front();
-    lock.owner = -1;
-    lock.handoff_pending = true;
-    granted_.insert(next);
-    stats_.released(lock_line, services_.now(), true, lock.queue.size());
+    hand_off(lock, lock_line);
   }
   if (silent) {
     // Exclusive copy of the node: the unlock store is a cache hit.  A
@@ -129,19 +81,7 @@ void ClhLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
     services_.proc_release_done(proc);
     return;
   }
-  const bus::TxnKind kind = (state == cache::LineState::kShared)
-                                ? bus::TxnKind::kUpgrade
-                                : bus::TxnKind::kReadX;
-  services_.issue_lock_txn(proc, line, kind, /*forced=*/true,
-                           bus::StallCause::kCacheMiss, /*stalls=*/true,
-                           kStepRelease);
-}
-
-bool ClhLock::held_by_other(std::uint32_t proc, std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  write(proc, line, /*contended=*/false, kStepRelease);
 }
 
 }  // namespace syncpat::sync

@@ -15,87 +15,49 @@ std::uint32_t McsLock::node_line(std::uint32_t proc) {
 }
 
 void McsLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  const bool contended = lock.owner >= 0 || lock.tail >= 0;
+  McsState& lock = locks_[lock_line];
   // swap(tail, my-node): an atomic ownership transaction on the lock line.
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true,
-                           contended ? bus::StallCause::kLockWait
-                                     : bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepAcquire);
-}
-
-void McsLock::spin_on_own_node(std::uint32_t proc, std::uint32_t lock_line) {
-  spin_lock_of_[proc] = lock_line;
-  const std::uint32_t line = node_line(proc);
-  const cache::LineState state = services_.line_state(proc, line);
-  if (state == cache::LineState::kShared ||
-      state == cache::LineState::kExclusive ||
-      state == cache::LineState::kModified) {
-    services_.proc_wait(proc, /*spinning=*/true, line);
-  } else {
-    services_.issue_lock_txn(proc, line, bus::TxnKind::kRead,
-                             /*forced=*/false, bus::StallCause::kLockWait,
-                             /*stalls=*/true, kStepSpinRead);
-  }
-}
-
-void McsLock::grant_or_spin(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_.at(lock_line);
-  if (granted_.erase(proc) > 0) {
-    lock.owner = static_cast<std::int32_t>(proc);
-    lock.handoff_pending = false;
-    stats_.acquired(lock_line, proc, services_.now(), lock.queue.size());
-    services_.proc_acquired(proc);
-  } else {
-    spin_on_own_node(proc, lock_line);
-  }
+  atomic(proc, lock_line, lock.owner >= 0 || lock.tail >= 0, kStepAcquire);
 }
 
 void McsLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                               std::uint8_t step) {
   switch (step) {
     case kStepAcquire: {
-      LockState& lock = locks_[line_addr];
+      McsState& lock = locks_[line_addr];
       const std::int32_t pred = lock.tail;
       lock.tail = static_cast<std::int32_t>(proc);
       if (pred < 0) {
         // Swap returned null: the lock was free.
-        lock.owner = static_cast<std::int32_t>(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.queue.size());
-        services_.proc_acquired(proc);
+        grant(lock, proc, line_addr, lock.queue.size());
       } else {
         // Link behind the predecessor: pred->next = self, a write to the
         // predecessor's node line, then spin on our own node.
         lock.queue.push_back(proc);
-        spin_lock_of_[proc] = line_addr;
-        services_.issue_lock_txn(
-            proc, node_line(static_cast<std::uint32_t>(pred)),
-            bus::TxnKind::kReadX, /*forced=*/true, bus::StallCause::kLockWait,
-            /*stalls=*/true, kStepEnqueue);
+        waiting_on_[proc] = line_addr;
+        atomic(proc, node_line(static_cast<std::uint32_t>(pred)),
+               /*contended=*/true, kStepEnqueue);
       }
       break;
     }
     case kStepEnqueue:
       // The pred->next write performed.  The release may already have chosen
       // us (the releaser spins on its next field until the link appears;
-      // here the grant set carries that resolution).
-      grant_or_spin(proc, spin_lock_of_.at(proc));
-      break;
+      // here the grant set carries that resolution).  Otherwise spin on our
+      // own node, as after every read of it.
     case kStepSpinRead:
-      grant_or_spin(proc, spin_lock_of_.at(proc));
+      take_or_spin(proc, node_line(proc));
       break;
     case kStepRelease: {
       // The tail compare&swap performed.  If a swapper slipped in front of
       // it on the bus, the CAS failed: fall back to the hand-off write.
-      LockState& lock = locks_.at(line_addr);
+      McsState& lock = locks_.at(line_addr);
       if (lock.queue.empty()) {
         lock.tail = -1;
-        lock.owner = -1;
-        stats_.released(line_addr, services_.now(), false, 0);
+        free(lock, line_addr, false, 0);
         services_.proc_release_done(proc);
       } else {
-        handoff(proc, line_addr, lock);
+        release_to_successor(proc, line_addr, lock);
       }
       break;
     }
@@ -109,62 +71,31 @@ void McsLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
   }
 }
 
-void McsLock::on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) {
-  services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kRead,
-                           /*forced=*/false, bus::StallCause::kLockWait,
-                           /*stalls=*/true, kStepSpinRead);
-}
-
-void McsLock::handoff(std::uint32_t proc, std::uint32_t lock_line,
-                      LockState& lock) {
-  const std::uint32_t next = lock.queue.front();
-  lock.queue.pop_front();
-  lock.owner = -1;
-  lock.handoff_pending = true;
-  granted_.insert(next);
-  stats_.released(lock_line, services_.now(), true, lock.queue.size());
+void McsLock::release_to_successor(std::uint32_t proc, std::uint32_t lock_line,
+                                   McsState& lock) {
+  const std::uint32_t next = hand_off(lock, lock_line);
   // next->locked = false: one targeted write to the successor's node line;
   // the lock word itself is never touched on a contended release.
-  services_.issue_lock_txn(proc, node_line(next), bus::TxnKind::kReadX,
-                           /*forced=*/true, bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepRelease2);
+  atomic(proc, node_line(next), /*contended=*/false, kStepRelease2);
 }
 
 void McsLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "MCS release by non-owner");
-  stats_.release_issued(lock_line, services_.now());
+  McsState& lock = begin_release_of(proc, lock_line);
   if (!lock.queue.empty()) {
-    handoff(proc, lock_line, lock);
+    release_to_successor(proc, lock_line, lock);
     return;
   }
   SYNCPAT_ASSERT_MSG(lock.tail == static_cast<std::int32_t>(proc),
                      "MCS tail lost without a queued successor");
-  const cache::LineState state = services_.line_state(proc, lock_line);
-  if (state == cache::LineState::kModified ||
-      state == cache::LineState::kExclusive) {
+  if (exclusive(proc, lock_line)) {
     // Exclusive copy: nobody swapped since our acquire, so the tail
     // compare&swap succeeds silently in-cache.
     lock.tail = -1;
-    lock.owner = -1;
-    stats_.released(lock_line, services_.now(), false, 0);
+    free(lock, lock_line, false, 0);
     services_.proc_release_done(proc);
     return;
   }
-  const bus::TxnKind kind = (state == cache::LineState::kShared)
-                                ? bus::TxnKind::kUpgrade
-                                : bus::TxnKind::kReadX;
-  services_.issue_lock_txn(proc, lock_line, kind, /*forced=*/true,
-                           bus::StallCause::kCacheMiss, /*stalls=*/true,
-                           kStepRelease);
-}
-
-bool McsLock::held_by_other(std::uint32_t proc, std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  write(proc, lock_line, /*contended=*/false, kStepRelease);
 }
 
 }  // namespace syncpat::sync

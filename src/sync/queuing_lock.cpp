@@ -12,83 +12,69 @@ std::uint32_t QueuingLock::spin_line(std::uint32_t proc) {
 }
 
 void QueuingLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  // One memory access: the atomic exchange that enters the queue.
-  const bus::StallCause cause = held_by_other(proc, lock_line)
-                                    ? bus::StallCause::kLockWait
-                                    : bus::StallCause::kCacheMiss;
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true, cause, /*stalls=*/true, kStepAcquire);
+  // One memory access: the atomic exchange that enters the queue.  It waits
+  // on the lock when another processor holds it.
+  const auto it = locks_.find(lock_line);
+  const bool held = it != locks_.end() && it->second.owner >= 0 &&
+                    it->second.owner != static_cast<std::int32_t>(proc);
+  atomic(proc, lock_line, held, kStepAcquire);
 }
 
 void QueuingLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = state(lock_line);
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "release by a processor that does not hold the lock");
-  stats_.release_issued(lock_line, services_.now());
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true, bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepRelease);
+  begin_release_of(proc, lock_line);
+  atomic(proc, lock_line, /*contended=*/false, kStepRelease);
+}
+
+void QueuingLock::take_or_wait(QueuingState& lock, std::uint32_t proc,
+                               std::uint32_t lock_line) {
+  if (lock.owner < 0 && lock.pending_next < 0) {
+    grant(lock, proc, lock_line, lock.waiters.size());
+  } else {
+    lock.waiters.push_back(proc);
+    services_.proc_wait(proc, /*spinning=*/false, 0);
+  }
 }
 
 void QueuingLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                                   std::uint8_t step) {
   switch (step) {
     case kStepAcquire: {
-      LockState& lock = state(line_addr);
-      if (lock.owner < 0 && lock.pending_next < 0) {
-        lock.owner = static_cast<std::int32_t>(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.waiters.size());
-        services_.proc_acquired(proc);
-      } else if (exact_) {
+      QueuingState& lock = locks_[line_addr];
+      if (exact_ && (lock.owner >= 0 || lock.pending_next >= 0)) {
         // Second access of the enqueue phase: publish the spin location.
-        services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kReadX,
-                                 /*forced=*/true, bus::StallCause::kLockWait,
-                                 /*stalls=*/true, kStepEnqueue);
+        atomic(proc, line_addr, /*contended=*/true, kStepEnqueue);
       } else {
-        state(line_addr).waiters.push_back(proc);
-        services_.proc_wait(proc, /*spinning=*/false, 0);
+        take_or_wait(lock, proc, line_addr);
       }
       break;
     }
-    case kStepEnqueue: {
+    case kStepEnqueue:
       // The two-phase enqueue races the release: if the lock was freed with
       // an empty queue while we published our spin location, take it now
       // (the real Graunke-Thakkar exchange enqueues atomically, so this
       // window exists only in the two-access model).
-      LockState& lock = state(line_addr);
-      if (lock.owner < 0 && lock.pending_next < 0) {
-        lock.owner = static_cast<std::int32_t>(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.waiters.size());
-        services_.proc_acquired(proc);
-      } else {
-        lock.waiters.push_back(proc);
-        services_.proc_wait(proc, /*spinning=*/false, 0);
-      }
+      take_or_wait(locks_[line_addr], proc, line_addr);
       break;
-    }
     case kStepRelease: {
-      LockState& lock = state(line_addr);
-      const bool transfer = !lock.waiters.empty();
-      lock.owner = -1;
-      if (!transfer) {
-        stats_.released(line_addr, services_.now(), false, 0);
+      QueuingState& lock = locks_[line_addr];
+      if (lock.waiters.empty()) {
+        free(lock, line_addr, false, 0);
         services_.proc_release_done(proc);
         break;
       }
       const std::uint32_t next = lock.waiters.front();
       lock.waiters.pop_front();
-      stats_.released(line_addr, services_.now(), true, lock.waiters.size());
+      free(lock, line_addr, true, lock.waiters.size());
       if (exact_) {
         // No cache-to-cache transfer under Illinois on this path: the
         // releaser performs one more memory access (the store to the
         // waiter's spin flag).
         lock.pending_next = static_cast<std::int32_t>(next);
-        services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kReadX,
-                                 /*forced=*/true, bus::StallCause::kCacheMiss,
-                                 /*stalls=*/true, kStepRelease2);
+        atomic(proc, line_addr, /*contended=*/false, kStepRelease2);
       } else {
+        // The waiter owns the lock from here; it resumes when the hand-off
+        // transfer wins the bus (on_handoff_granted).
         lock.owner = static_cast<std::int32_t>(next);
-        pending_handoff_[line_addr] = next;
         services_.issue_handoff(proc, line_addr);
         services_.proc_release_done(proc);
       }
@@ -97,7 +83,7 @@ void QueuingLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
     case kStepRelease2: {
       // Exact variant: releaser is done; the waiter now re-reads its
       // invalidated spin flag (its own memory access) before running.
-      LockState& lock = state(line_addr);
+      const QueuingState& lock = locks_[line_addr];
       SYNCPAT_ASSERT(lock.pending_next >= 0);
       const auto next = static_cast<std::uint32_t>(lock.pending_next);
       services_.proc_release_done(proc);
@@ -112,9 +98,7 @@ void QueuingLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
       for (auto& [line, lock] : locks_) {
         if (lock.pending_next == static_cast<std::int32_t>(proc)) {
           lock.pending_next = -1;
-          lock.owner = static_cast<std::int32_t>(proc);
-          stats_.acquired(line, proc, services_.now(), lock.waiters.size());
-          services_.proc_acquired(proc);
+          grant(lock, proc, line, lock.waiters.size());
           return;
         }
       }
@@ -133,20 +117,10 @@ void QueuingLock::on_spin_invalidated(std::uint32_t /*proc*/,
 }
 
 void QueuingLock::on_handoff_granted(std::uint32_t line_addr) {
-  auto it = pending_handoff_.find(line_addr);
-  SYNCPAT_ASSERT(it != pending_handoff_.end());
-  const std::uint32_t next = it->second;
-  pending_handoff_.erase(it);
-  stats_.acquired(line_addr, next, services_.now(), state(line_addr).waiters.size());
-  services_.proc_acquired(next);
-}
-
-bool QueuingLock::held_by_other(std::uint32_t proc,
-                                std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  QueuingState& lock = locks_.at(line_addr);
+  SYNCPAT_ASSERT(lock.owner >= 0);
+  grant(lock, static_cast<std::uint32_t>(lock.owner), line_addr,
+        lock.waiters.size());
 }
 
 }  // namespace syncpat::sync

@@ -13,23 +13,28 @@
 // because the Illinois protocol performs no cache-to-cache transfer on this
 // path — an additional memory access after the release, followed by the
 // waiter's own re-read of its (per-processor) spin location.  The
-// `bench_ablation_exact_queuing` harness performs the paper's stated
+// exact-queuing section of `bench_ablations` performs the paper's stated
 // future-work comparison between the two.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 
-#include "sync/lock_stats.hpp"
 #include "sync/scheme.hpp"
 
 namespace syncpat::sync {
 
-class QueuingLock final : public LockScheme {
+struct QueuingState {
+  std::int32_t owner = -1;
+  std::deque<std::uint32_t> waiters;
+  // Exact variant: waiter whose wake-up sequence is in progress.
+  std::int32_t pending_next = -1;
+};
+
+class QueuingLock final : public BasicScheme<QueuingState> {
  public:
   QueuingLock(SchemeServices& services, LockStatsCollector& stats, bool exact)
-      : services_(services), stats_(stats), exact_(exact) {}
+      : BasicScheme(services, stats), exact_(exact) {}
 
   void begin_acquire(std::uint32_t proc, std::uint32_t lock_line) override;
   void begin_release(std::uint32_t proc, std::uint32_t lock_line) override;
@@ -38,33 +43,16 @@ class QueuingLock final : public LockScheme {
   void on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) override;
   void on_handoff_granted(std::uint32_t line_addr) override;
 
-  [[nodiscard]] const char* name() const override {
-    return exact_ ? "queuing-exact" : "queuing";
-  }
-  [[nodiscard]] bool held_by_other(std::uint32_t proc,
-                                   std::uint32_t lock_line) const override;
-
   /// Per-processor spin-flag cache line used by the exact variant
   /// (Graunke-Thakkar spin on an element of a per-processor array).
   [[nodiscard]] static std::uint32_t spin_line(std::uint32_t proc);
 
  private:
-  struct LockState {
-    std::int32_t owner = -1;
-    std::deque<std::uint32_t> waiters;
-    // Exact variant: waiter whose wake-up sequence is in progress.
-    std::int32_t pending_next = -1;
-  };
+  /// Takes the free lock, or queues behind its holder and waits passively.
+  void take_or_wait(QueuingState& lock, std::uint32_t proc,
+                    std::uint32_t lock_line);
 
-  LockState& state(std::uint32_t lock_line) { return locks_[lock_line]; }
-
-  SchemeServices& services_;
-  LockStatsCollector& stats_;
   bool exact_;
-  std::unordered_map<std::uint32_t, LockState> locks_;
-  // Approximate variant: lock line -> waiter woken when the hand-off is
-  // granted the bus.
-  std::unordered_map<std::uint32_t, std::uint32_t> pending_handoff_;
 };
 
 }  // namespace syncpat::sync

@@ -6,7 +6,6 @@
 #include "sync/clh_lock.hpp"
 #include "sync/mcs_lock.hpp"
 #include "sync/queuing_lock.hpp"
-#include "sync/tas_backoff_lock.hpp"
 #include "sync/tas_lock.hpp"
 #include "sync/ticket_lock.hpp"
 #include "sync/ttas_lock.hpp"
@@ -54,9 +53,9 @@ std::unique_ptr<LockScheme> make_scheme(SchemeKind kind, SchemeServices& service
     case SchemeKind::kTtas:
       return std::make_unique<TtasLock>(services, stats);
     case SchemeKind::kTas:
-      return std::make_unique<TasLock>(services, stats);
+      return std::make_unique<TasLock>(services, stats, /*backoff=*/false);
     case SchemeKind::kTasBackoff:
-      return std::make_unique<TasBackoffLock>(services, stats);
+      return std::make_unique<TasLock>(services, stats, /*backoff=*/true);
     case SchemeKind::kTicket:
       return std::make_unique<TicketLock>(services, stats, line_bytes);
     case SchemeKind::kAnderson:

@@ -1,85 +1,65 @@
 #include "sync/tas_lock.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace syncpat::sync {
 
 void TasLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
   locks_[lock_line].trying.insert(proc);
+  if (backoff_) delay_[proc] = kInitialBackoff;
   attempt(proc, lock_line);
 }
 
 void TasLock::attempt(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  const bool contended =
-      (lock.owner >= 0 && lock.owner != static_cast<std::int32_t>(proc)) ||
-      lock.trying.size() > 1;
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true,
-                           contended ? bus::StallCause::kLockWait
-                                     : bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepTas);
+  atomic(proc, lock_line, locks_[lock_line].contended(proc), kStepTas);
+}
+
+void TasLock::on_timer(std::uint32_t proc, std::uint32_t line_addr) {
+  attempt(proc, line_addr);
+}
+
+void TasLock::on_spin_invalidated(std::uint32_t /*proc*/,
+                                  std::uint32_t /*line*/) {
+  SYNCPAT_ASSERT(false);  // T&S waiters re-issue or back off, never spin
 }
 
 void TasLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                               std::uint8_t step) {
-  LockState& lock = locks_[line_addr];
+  TasState& lock = locks_[line_addr];
   switch (step) {
     case kStepTas:
       if (lock.owner < 0) {
-        lock.owner = static_cast<std::int32_t>(proc);
         lock.trying.erase(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.trying.size());
-        services_.proc_acquired(proc);
+        grant(lock, proc, line_addr, lock.trying.size());
+      } else if (backoff_) {
+        // Failed: back off quietly, then retry with doubled delay.
+        std::uint64_t& delay = delay_[proc];
+        services_.proc_wait(proc, /*spinning=*/false, 0);
+        services_.schedule_timer(proc, line_addr, delay);
+        delay = std::min(delay * 2, kMaxBackoff);
       } else {
         attempt(proc, line_addr);  // spin by re-issuing the atomic op
       }
       break;
-    case kStepRelease: {
-      const bool transfer = !lock.trying.empty();
-      lock.owner = -1;
-      stats_.released(line_addr, services_.now(), transfer,
-                      transfer ? lock.trying.size() - 1 : 0);
+    case kStepRelease:
+      free(lock, line_addr, !lock.trying.empty(), lock.waiters_left());
       services_.proc_release_done(proc);
       break;
-    }
     default:
       SYNCPAT_ASSERT_MSG(false, "unexpected T&S step");
   }
 }
 
-void TasLock::on_spin_invalidated(std::uint32_t /*proc*/, std::uint32_t /*line*/) {
-  SYNCPAT_ASSERT(false);  // T&S never spins in-cache
-}
-
 void TasLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "T&S release by non-owner");
-  stats_.release_issued(lock_line, services_.now());
-  const cache::LineState state = services_.line_state(proc, lock_line);
-  if (state == cache::LineState::kModified ||
-      state == cache::LineState::kExclusive) {
-    const bool transfer = !lock.trying.empty();
-    lock.owner = -1;
-    stats_.released(lock_line, services_.now(), transfer,
-                    transfer ? lock.trying.size() - 1 : 0);
+  TasState& lock = begin_release_of(proc, lock_line);
+  if (exclusive(proc, lock_line)) {
+    free(lock, lock_line, !lock.trying.empty(), lock.waiters_left());
     services_.proc_release_done(proc);
     return;
   }
-  const bus::TxnKind kind = (state == cache::LineState::kShared)
-                                ? bus::TxnKind::kUpgrade
-                                : bus::TxnKind::kReadX;
-  services_.issue_lock_txn(proc, lock_line, kind, /*forced=*/true,
-                           bus::StallCause::kCacheMiss, /*stalls=*/true,
-                           kStepRelease);
-}
-
-bool TasLock::held_by_other(std::uint32_t proc, std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  write(proc, lock_line, /*contended=*/false, kStepRelease);
 }
 
 }  // namespace syncpat::sync

@@ -5,45 +5,30 @@
 namespace syncpat::sync {
 
 void TicketLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  const bool contended = lock.owner >= 0 || !lock.ticket_of.empty();
+  TicketState& lock = locks_[lock_line];
   // Fetch-and-increment of the ticket counter: an atomic ownership
   // transaction on the ticket line.
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                           /*forced=*/true,
-                           contended ? bus::StallCause::kLockWait
-                                     : bus::StallCause::kCacheMiss,
-                           /*stalls=*/true, kStepAcquire);
+  atomic(proc, lock_line, lock.owner >= 0 || !lock.ticket_of.empty(),
+         kStepAcquire);
 }
 
 void TicketLock::spin_or_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
+  TicketState& lock = locks_[lock_line];
   const auto it = lock.ticket_of.find(proc);
   SYNCPAT_ASSERT(it != lock.ticket_of.end());
   if (it->second == lock.now_serving && lock.owner < 0) {
-    lock.owner = static_cast<std::int32_t>(proc);
     lock.ticket_of.erase(it);
-    stats_.acquired(lock_line, proc, services_.now(), lock.ticket_of.size());
-    services_.proc_acquired(proc);
+    grant(lock, proc, lock_line, lock.ticket_of.size());
     return;
   }
-  const std::uint32_t serving = serving_line(lock_line);
-  const cache::LineState state = services_.line_state(proc, serving);
-  if (state == cache::LineState::kShared || state == cache::LineState::kExclusive ||
-      state == cache::LineState::kModified) {
-    services_.proc_wait(proc, /*spinning=*/true, serving);
-  } else {
-    services_.issue_lock_txn(proc, serving, bus::TxnKind::kRead,
-                             /*forced=*/false, bus::StallCause::kLockWait,
-                             /*stalls=*/true, kStepSpinRead);
-  }
+  spin(proc, serving_line(lock_line));
 }
 
 void TicketLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                                  std::uint8_t step) {
   switch (step) {
     case kStepAcquire: {
-      LockState& lock = locks_[line_addr];
+      TicketState& lock = locks_[line_addr];
       lock.ticket_of[proc] = lock.next_ticket++;
       spin_or_acquire(proc, line_addr);
       break;
@@ -52,12 +37,11 @@ void TicketLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
       spin_or_acquire(proc, lock_of_serving(line_addr));
       break;
     case kStepRelease: {
-      LockState& lock = locks_[lock_of_serving(line_addr)];
+      const std::uint32_t lock_line = lock_of_serving(line_addr);
+      TicketState& lock = locks_[lock_line];
       ++lock.now_serving;
       const bool transfer = !lock.ticket_of.empty();
-      lock.owner = -1;
-      stats_.released(lock_of_serving(line_addr), services_.now(), transfer,
-                      transfer ? lock.ticket_of.size() - 1 : 0);
+      free(lock, lock_line, transfer, transfer ? lock.ticket_of.size() - 1 : 0);
       // Spinners re-read after the invalidation; the matching ticket
       // acquires.  (The release transaction's snoop triggered
       // on_spin_invalidated for each registered spinner.)
@@ -69,43 +53,17 @@ void TicketLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
   }
 }
 
-void TicketLock::on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) {
-  services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kRead,
-                           /*forced=*/false, bus::StallCause::kLockWait,
-                           /*stalls=*/true, kStepSpinRead);
-}
-
 void TicketLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "ticket release by non-owner");
-  stats_.release_issued(lock_line, services_.now());
+  TicketState& lock = begin_release_of(proc, lock_line);
   const std::uint32_t serving = serving_line(lock_line);
-  const cache::LineState state = services_.line_state(proc, serving);
-  if ((state == cache::LineState::kModified ||
-       state == cache::LineState::kExclusive) &&
-      lock.ticket_of.empty()) {
+  if (exclusive(proc, serving) && lock.ticket_of.empty()) {
     // Exclusive copy and nobody waiting: silent store.
     ++lock.now_serving;
-    lock.owner = -1;
-    stats_.released(lock_line, services_.now(), false, 0);
+    free(lock, lock_line, false, 0);
     services_.proc_release_done(proc);
     return;
   }
-  const bus::TxnKind kind = (state == cache::LineState::kShared)
-                                ? bus::TxnKind::kUpgrade
-                                : bus::TxnKind::kReadX;
-  services_.issue_lock_txn(proc, serving, kind, /*forced=*/true,
-                           bus::StallCause::kCacheMiss, /*stalls=*/true,
-                           kStepRelease);
-}
-
-bool TicketLock::held_by_other(std::uint32_t proc,
-                               std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  write(proc, serving, /*contended=*/false, kStepRelease);
 }
 
 }  // namespace syncpat::sync

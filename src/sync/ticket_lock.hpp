@@ -12,26 +12,27 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "sync/lock_stats.hpp"
 #include "sync/scheme.hpp"
 
 namespace syncpat::sync {
 
-class TicketLock final : public LockScheme {
+struct TicketState {
+  std::int32_t owner = -1;
+  std::uint64_t next_ticket = 0;
+  std::uint64_t now_serving = 0;
+  std::unordered_map<std::uint32_t, std::uint64_t> ticket_of;  // waiting procs
+};
+
+class TicketLock final : public BasicScheme<TicketState> {
  public:
   TicketLock(SchemeServices& services, LockStatsCollector& stats,
              std::uint32_t line_bytes)
-      : services_(services), stats_(stats), line_bytes_(line_bytes) {}
+      : BasicScheme(services, stats), line_bytes_(line_bytes) {}
 
   void begin_acquire(std::uint32_t proc, std::uint32_t lock_line) override;
   void begin_release(std::uint32_t proc, std::uint32_t lock_line) override;
   void on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                        std::uint8_t step) override;
-  void on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) override;
-
-  [[nodiscard]] const char* name() const override { return "ticket"; }
-  [[nodiscard]] bool held_by_other(std::uint32_t proc,
-                                   std::uint32_t lock_line) const override;
 
   /// The now-serving counter lives on the cache line after the ticket line.
   [[nodiscard]] std::uint32_t serving_line(std::uint32_t lock_line) const {
@@ -42,19 +43,9 @@ class TicketLock final : public LockScheme {
   }
 
  private:
-  struct LockState {
-    std::int32_t owner = -1;
-    std::uint64_t next_ticket = 0;
-    std::uint64_t now_serving = 0;
-    std::unordered_map<std::uint32_t, std::uint64_t> ticket_of;  // waiting procs
-  };
-
   void spin_or_acquire(std::uint32_t proc, std::uint32_t lock_line);
 
-  SchemeServices& services_;
-  LockStatsCollector& stats_;
   std::uint32_t line_bytes_;
-  std::unordered_map<std::uint32_t, LockState> locks_;
 };
 
 }  // namespace syncpat::sync

@@ -4,48 +4,24 @@
 
 namespace syncpat::sync {
 
-bus::StallCause TtasLock::acquire_cause(std::uint32_t proc,
-                                        const LockState& lock) const {
-  // Waiting is "lock wait" when the lock is held by someone else or other
-  // processors are contending for the transfer; an uncontended acquire is an
-  // ordinary memory access (cache-miss stall), matching the paper's ~0% lock
-  // stalls for Pverify despite its long lock holds.
-  const bool contended =
-      (lock.owner >= 0 && lock.owner != static_cast<std::int32_t>(proc)) ||
-      lock.trying.size() > 1;
-  return contended ? bus::StallCause::kLockWait : bus::StallCause::kCacheMiss;
-}
-
 void TtasLock::begin_acquire(std::uint32_t proc, std::uint32_t lock_line) {
-  locks_[lock_line].trying.insert(proc);
-  test(proc, lock_line);
-}
-
-void TtasLock::test(std::uint32_t proc, std::uint32_t lock_line) {
-  const cache::LineState state = services_.line_state(proc, lock_line);
-  if (state == cache::LineState::kShared || state == cache::LineState::kExclusive ||
-      state == cache::LineState::kModified) {
+  TasState& lock = locks_[lock_line];
+  lock.trying.insert(proc);
+  if (cached(proc, lock_line)) {
     evaluate(proc, lock_line);  // cached read: free
-    return;
+  } else {
+    read(proc, lock_line, lock.contended(proc));
   }
-  services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kRead,
-                           /*forced=*/false, acquire_cause(proc, locks_[lock_line]),
-                           /*stalls=*/true, kStepSpinRead);
 }
 
 void TtasLock::evaluate(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
+  TasState& lock = locks_[lock_line];
   if (lock.owner < 0) {
     // Observed free: race a test-and-set.  If our copy is Shared an
     // invalidation suffices; otherwise fetch the line for ownership.  The
     // engine serializes in-flight transactions per line, so completions —
     // and therefore the atomic winner — are bus-ordered.
-    const cache::LineState state = services_.line_state(proc, lock_line);
-    const bus::TxnKind kind = (state == cache::LineState::kShared)
-                                  ? bus::TxnKind::kUpgrade
-                                  : bus::TxnKind::kReadX;
-    services_.issue_lock_txn(proc, lock_line, kind, /*forced=*/true,
-                             acquire_cause(proc, lock), /*stalls=*/true, kStepTas);
+    write(proc, lock_line, lock.contended(proc), kStepTas);
   } else {
     // Held: spin on the cached copy; no bus traffic until invalidated.
     services_.proc_wait(proc, /*spinning=*/true, lock_line);
@@ -54,75 +30,41 @@ void TtasLock::evaluate(std::uint32_t proc, std::uint32_t lock_line) {
 
 void TtasLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                                std::uint8_t step) {
-  LockState& lock = locks_[line_addr];
+  TasState& lock = locks_[line_addr];
   switch (step) {
     case kStepSpinRead:
       evaluate(proc, line_addr);
       break;
     case kStepTas:
       if (lock.owner < 0) {
-        lock.owner = static_cast<std::int32_t>(proc);
         lock.trying.erase(proc);
-        stats_.acquired(line_addr, proc, services_.now(), lock.trying.size());
-        services_.proc_acquired(proc);
+        grant(lock, proc, line_addr, lock.trying.size());
       } else {
         // Lost the race; our test-and-set wrote "locked" over "locked", and
         // we now hold the only valid copy — spin on it.
         services_.proc_wait(proc, /*spinning=*/true, line_addr);
       }
       break;
-    case kStepRelease: {
-      const bool transfer = !lock.trying.empty();
-      lock.owner = -1;
-      stats_.released(line_addr, services_.now(), transfer,
-                      transfer ? lock.trying.size() - 1 : 0);
+    case kStepRelease:
+      free(lock, line_addr, !lock.trying.empty(), lock.waiters_left());
       services_.proc_release_done(proc);
       break;
-    }
     default:
       SYNCPAT_ASSERT_MSG(false, "unexpected T&T&S step");
   }
 }
 
-void TtasLock::on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) {
-  // Our cached copy died: the spin loop misses and re-reads over the bus.
-  services_.issue_lock_txn(proc, line_addr, bus::TxnKind::kRead,
-                           /*forced=*/false, bus::StallCause::kLockWait,
-                           /*stalls=*/true, kStepSpinRead);
-}
-
 void TtasLock::begin_release(std::uint32_t proc, std::uint32_t lock_line) {
-  LockState& lock = locks_[lock_line];
-  SYNCPAT_ASSERT_MSG(lock.owner == static_cast<std::int32_t>(proc),
-                     "T&T&S release by non-owner");
-  stats_.release_issued(lock_line, services_.now());
-  const cache::LineState state = services_.line_state(proc, lock_line);
-  if (state == cache::LineState::kModified ||
-      state == cache::LineState::kExclusive) {
+  TasState& lock = begin_release_of(proc, lock_line);
+  if (exclusive(proc, lock_line)) {
     // Exclusive copy: the store hits silently; nobody else holds the line.
-    const bool transfer = !lock.trying.empty();
-    lock.owner = -1;
-    stats_.released(lock_line, services_.now(), transfer,
-                    transfer ? lock.trying.size() - 1 : 0);
+    free(lock, lock_line, !lock.trying.empty(), lock.waiters_left());
     services_.proc_release_done(proc);
     return;
   }
   // Shared (spinners hold copies) or evicted: the store needs the bus.  Its
   // grant-time snoop invalidates every spinner — the start of the flurry.
-  const bus::TxnKind kind = (state == cache::LineState::kShared)
-                                ? bus::TxnKind::kUpgrade
-                                : bus::TxnKind::kReadX;
-  services_.issue_lock_txn(proc, lock_line, kind, /*forced=*/true,
-                           bus::StallCause::kCacheMiss, /*stalls=*/true,
-                           kStepRelease);
-}
-
-bool TtasLock::held_by_other(std::uint32_t proc,
-                             std::uint32_t lock_line) const {
-  auto it = locks_.find(lock_line);
-  if (it == locks_.end()) return false;
-  return it->second.owner >= 0 &&
-         it->second.owner != static_cast<std::int32_t>(proc);
+  write(proc, lock_line, /*contended=*/false, kStepRelease);
 }
 
 }  // namespace syncpat::sync

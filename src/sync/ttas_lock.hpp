@@ -13,43 +13,23 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "sync/lock_stats.hpp"
-#include "sync/scheme.hpp"
+#include "sync/tas_lock.hpp"
 
 namespace syncpat::sync {
 
-class TtasLock final : public LockScheme {
+class TtasLock final : public BasicScheme<TasState> {
  public:
   TtasLock(SchemeServices& services, LockStatsCollector& stats)
-      : services_(services), stats_(stats) {}
+      : BasicScheme(services, stats) {}
 
   void begin_acquire(std::uint32_t proc, std::uint32_t lock_line) override;
   void begin_release(std::uint32_t proc, std::uint32_t lock_line) override;
   void on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
                        std::uint8_t step) override;
-  void on_spin_invalidated(std::uint32_t proc, std::uint32_t line_addr) override;
-
-  [[nodiscard]] const char* name() const override { return "ttas"; }
-  [[nodiscard]] bool held_by_other(std::uint32_t proc,
-                                   std::uint32_t lock_line) const override;
 
  private:
-  struct LockState {
-    std::int32_t owner = -1;
-    std::unordered_set<std::uint32_t> trying;  // procs between begin and win
-  };
-
-  void test(std::uint32_t proc, std::uint32_t lock_line);
   void evaluate(std::uint32_t proc, std::uint32_t lock_line);
-  [[nodiscard]] bus::StallCause acquire_cause(std::uint32_t proc,
-                                              const LockState& lock) const;
-
-  SchemeServices& services_;
-  LockStatsCollector& stats_;
-  std::unordered_map<std::uint32_t, LockState> locks_;
 };
 
 }  // namespace syncpat::sync

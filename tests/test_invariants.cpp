@@ -146,10 +146,6 @@ class NoMutexScheme final : public sync::LockScheme {
     }
   }
   void on_spin_invalidated(std::uint32_t, std::uint32_t) override {}
-  [[nodiscard]] const char* name() const override { return "no-mutex"; }
-  [[nodiscard]] bool held_by_other(std::uint32_t, std::uint32_t) const override {
-    return false;
-  }
 
  private:
   sync::SchemeServices& services_;
@@ -216,11 +212,6 @@ class LifoScheme final : public sync::LockScheme {
     }
   }
   void on_spin_invalidated(std::uint32_t, std::uint32_t) override {}
-  [[nodiscard]] const char* name() const override { return "lifo"; }
-  [[nodiscard]] bool held_by_other(std::uint32_t proc,
-                                   std::uint32_t) const override {
-    return held_ && owner_ != proc;
-  }
 
  private:
   sync::SchemeServices& services_;

@@ -309,7 +309,6 @@ class StubServices final : public sync::SchemeServices {
     return cache::LineState::kInvalid;
   }
   void proc_wait(std::uint32_t, bool, std::uint32_t) override {}
-  void stop_spin(std::uint32_t) override {}
   void proc_acquired(std::uint32_t) override {}
   void proc_release_done(std::uint32_t) override {}
   void schedule_timer(std::uint32_t, std::uint32_t, std::uint64_t) override {}
