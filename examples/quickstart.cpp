@@ -5,7 +5,9 @@
 //   ./quickstart
 //
 // This walks the whole public API surface: BenchmarkProfile ->
-// make_program_trace -> analyze_program -> Simulator::run -> results.
+// run_ideal (make_program_trace -> analyze_program) for the ideal statistics
+// alone, then run_experiment (make_program_trace -> IdealTap -> Simulator::run,
+// which accumulates the same statistics during the simulated pass) -> results.
 #include <cstdio>
 #include <iostream>
 

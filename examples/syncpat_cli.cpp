@@ -429,7 +429,8 @@ int main(int argc, char** argv) {
 
   config.num_procs = static_cast<std::uint32_t>(program.num_procs());
 
-  const trace::IdealProgramStats ideal = trace::analyze_program(program);
+  // The ideal statistics accumulate as the simulator pulls the trace.
+  const trace::IdealTap ideal_tap(program);
   core::Simulator sim(config, program);
   obs::ChromeTraceSink chrome(opt.program, config.num_procs);
   obs::LockTimelineSink timeline;
@@ -438,6 +439,7 @@ int main(int argc, char** argv) {
     rec->add_sink(&timeline);
   }
   const core::SimulationResult r = sim.run();
+  const trace::IdealProgramStats ideal = ideal_tap.finish();
 
   report::Table t("syncpat: " + r.program + " on " + r.scheme + "/" +
                   r.consistency + "/" + opt.write_policy);

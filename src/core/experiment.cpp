@@ -17,10 +17,11 @@ ExperimentOutcome run_experiment(const MachineConfig& config,
                                  std::uint64_t scale) {
   const workload::BenchmarkProfile scaled = profile.scaled(scale);
   trace::ProgramTrace program = workload::make_program_trace(scaled);
+  // Tables 1-2 come from the events the simulator pulls, as in the paper
+  // (§2.1): the trace is synthesized once per cell.
+  const trace::IdealTap ideal(program);
 
   ExperimentOutcome outcome;
-  outcome.ideal = trace::analyze_program(program);
-
   MachineConfig cfg = config;
   cfg.num_procs = scaled.num_procs;
   Simulator sim(cfg, program);
@@ -33,6 +34,7 @@ ExperimentOutcome run_experiment(const MachineConfig& config,
     rec->add_sink(&timeline);
   }
   outcome.sim = sim.run();
+  outcome.ideal = ideal.finish();
   outcome.per_lock = sim.lock_stats().per_lock();
   if (sim.recorder() != nullptr) {
     outcome.trace_json = chrome.finish();

@@ -48,12 +48,14 @@ struct ExperimentOutcome {
   std::string metrics_json;
 };
 
-/// Runs `profile` (optionally length-scaled by `scale`) on the machine.
+/// Runs `profile` (optionally length-scaled by `scale`) on the machine.  The
+/// ideal statistics accumulate during the simulated pass over the trace.
 [[nodiscard]] ExperimentOutcome run_experiment(const MachineConfig& config,
                                                const workload::BenchmarkProfile& profile,
                                                std::uint64_t scale = 1);
 
-/// Ideal analysis only (no simulation) — Tables 1 and 2.
+/// Ideal analysis only (no simulation) — Tables 1 and 2, from a pass of
+/// their own.
 [[nodiscard]] trace::IdealProgramStats run_ideal(
     const workload::BenchmarkProfile& profile, std::uint64_t scale = 1);
 

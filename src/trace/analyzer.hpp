@@ -5,6 +5,13 @@
 // we derive everything the paper's Tables 1 and 2 report: reference counts
 // by category, work cycles, lock pairs, nested lock pairs, and lock holding
 // times measured in work cycles.
+//
+// One per-processor accumulator, fed one event at a time, is the only
+// implementation: analyze_proc is a loop over it, and IdealTap feeds it as
+// another consumer pulls events.  The paper takes these statistics from the
+// same traces its simulator consumes, and so does run_experiment, through an
+// IdealTap, so a cell synthesizes its trace once.  analyze_program is the
+// standalone pass for callers that simulate nothing.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +72,24 @@ struct IdealProgramStats {
 /// Analyzes a whole program.  All sources are reset before and after, so the
 /// trace remains usable by the simulator.
 [[nodiscard]] IdealProgramStats analyze_program(ProgramTrace& program);
+
+/// The ideal pass folded into another consumer's pass over a program.  The
+/// constructor wraps each source of `program` in place with a pass-through
+/// that forwards next() unchanged and feeds an accumulator; resetting a
+/// wrapped source clears its accumulator (the Simulator constructor resets
+/// every source).  Once the consumer has drained every source, finish()
+/// returns what analyze_program would have.  `program` must outlive the tap.
+class IdealTap {
+ public:
+  explicit IdealTap(ProgramTrace& program);
+
+  /// Asserts that every source was pulled to its end.
+  [[nodiscard]] IdealProgramStats finish() const;
+
+ private:
+  class Source;
+  std::string name_;
+  std::vector<const Source*> sources_;
+};
 
 }  // namespace syncpat::trace

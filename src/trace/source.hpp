@@ -3,7 +3,9 @@
 // Paper-scale traces run to millions of references per processor, so nothing
 // in the pipeline requires a materialized trace: the simulator, the ideal
 // analyzer, and the trace writers all consume a TraceSource one event at a
-// time.  Vector-backed sources exist for tests and file loads.
+// time.  An experiment pulls each event once: the ideal analyzer rides along
+// with the simulator as a pass-through (trace::IdealTap).  Vector-backed
+// sources exist for tests and file loads.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +18,9 @@
 
 namespace syncpat::trace {
 
-/// One processor's event stream.  reset() rewinds to the beginning so a
-/// trace can be analyzed ("ideal" pass) and then simulated.
+/// One processor's event stream.  reset() rewinds to the beginning, so one
+/// trace can be consumed more than once (a standalone ideal pass, a trace
+/// writer, a simulation); the Simulator resets every source before it runs.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;

@@ -28,24 +28,19 @@ constexpr std::uint64_t kColdRegionBudget = 0x1800'0000ull;
 ProfileTraceSource::ProfileTraceSource(const BenchmarkProfile& profile,
                                        std::uint32_t proc)
     : profile_(profile), proc_(proc) {
+  derive_rates();
   reset();
 }
 
-void ProfileTraceSource::reset() {
-  rng_.reseed(profile_.seed * 0x9e3779b97f4a7c15ULL + proc_ + 1);
-  staged_.clear();
-  refs_emitted_ = 0;
-  outer_emitted_ = 0;
-  pc_ = AddressMap::code_addr((proc_ * 4096) % kCodeWorkingSet);
-  last_shared_line_ = AddressMap::shared_addr(0);
-  cold_pos_ = 0;
-  // Historically this computed proc_ * cold_region_bytes unconditionally,
-  // which overflowed the shared region (assert) for large P even with the
-  // cold stream disabled.  The clamped slice is 0 when there is no cold
-  // stream and last_cold_addr_ is then never read before a cold load sets it.
+ProfileTraceSource::ProfileTraceSource(const ProfileTraceSource& sibling,
+                                       std::uint32_t proc)
+    : ProfileTraceSource(sibling) {
+  proc_ = proc;
+  reset();
+}
+
+void ProfileTraceSource::derive_rates() {
   cold_slice_ = cold_slice_bytes();
-  last_cold_addr_ = AddressMap::shared_addr(proc_ * cold_slice_);
-  barriers_emitted_ = 0;
   barrier_interval_ =
       profile_.locking.barriers_per_proc > 0
           ? std::max<std::uint64_t>(
@@ -82,12 +77,23 @@ void ProfileTraceSource::reset() {
     burst_probability_ = burst_outer > 0.0 ? burst_outer / burst_normal : 0.0;
     cs_probability_ = (static_cast<double>(outer_target_) - burst_outer) /
                       std::max(1.0, normal_refs - burst_normal);
-  } else {
-    cs_probability_ = 0.0;
-    burst_probability_ = 0.0;
-    nested_probability_ = 0.0;
-    burst_window_refs_ = 0;
   }
+}
+
+void ProfileTraceSource::reset() {
+  rng_.reseed(profile_.seed * 0x9e3779b97f4a7c15ULL + proc_ + 1);
+  staged_.clear();
+  refs_emitted_ = 0;
+  outer_emitted_ = 0;
+  barriers_emitted_ = 0;
+  pc_ = AddressMap::code_addr((proc_ * 4096) % kCodeWorkingSet);
+  last_shared_line_ = AddressMap::shared_addr(0);
+  cold_pos_ = 0;
+  // Historically this computed proc_ * cold_region_bytes unconditionally,
+  // which overflowed the shared region (assert) for large P even with the
+  // cold stream disabled.  The clamped slice is 0 when there is no cold
+  // stream and last_cold_addr_ is then never read before a cold load sets it.
+  last_cold_addr_ = AddressMap::shared_addr(proc_ * cold_slice_);
 }
 
 std::uint32_t ProfileTraceSource::cold_slice_bytes() const {
@@ -328,9 +334,10 @@ void ProfileTraceSource::emit_critical_section() {
 trace::ProgramTrace make_program_trace(const BenchmarkProfile& profile) {
   trace::ProgramTrace program;
   program.name = profile.name;
+  const ProfileTraceSource prototype(profile, 0);
   for (std::uint32_t p = 0; p < profile.num_procs; ++p) {
     program.per_proc.push_back(
-        std::make_unique<ProfileTraceSource>(profile, p));
+        std::make_unique<ProfileTraceSource>(prototype, p));
   }
   return program;
 }

@@ -121,5 +121,64 @@ TEST(Analyzer, EmptyTrace) {
   EXPECT_DOUBLE_EQ(stats.held_time_fraction(), 0.0);
 }
 
+std::vector<std::vector<Event>> nested_trace() {
+  return {
+      {lock_acq(0, 1), load(AddressMap::shared_addr(0), 4), lock_acq(1, 2),
+       store(AddressMap::shared_addr(64), 6), lock_rel(1, 2), lock_rel(0, 6),
+       ifetch(0x100, 3)},
+      {ifetch(0x100, 10), store(AddressMap::private_addr(1, 8), 2),
+       Event{AddressMap::barrier_addr(0), 2, Op::kBarrier}},
+  };
+}
+
+TEST(IdealTap, ForwardsEventsAndMatchesAnalyzeProgram) {
+  ProgramTrace expected_program = make_program(nested_trace());
+  const IdealProgramStats expected = analyze_program(expected_program);
+
+  ProgramTrace program = make_program(nested_trace());
+  const IdealTap tap(program);
+  for (std::size_t p = 0; p < program.num_procs(); ++p) {
+    EXPECT_EQ(collect(*program.per_proc[p]), nested_trace()[p]);
+  }
+  const IdealProgramStats stats = tap.finish();
+  testutil::expect_same_ideal(stats, expected);
+  EXPECT_EQ(stats.per_proc[0].nested_pairs, 1u);
+  EXPECT_EQ(stats.per_proc[1].barriers, 1u);
+}
+
+TEST(IdealTap, ResetClearsTheAccumulator) {
+  ProgramTrace expected_program = make_program(nested_trace());
+  const IdealProgramStats expected = analyze_program(expected_program);
+
+  ProgramTrace program = make_program(nested_trace());
+  const IdealTap tap(program);
+  Event e;
+  ASSERT_TRUE(program.per_proc[0]->next(e));
+  ASSERT_TRUE(program.per_proc[0]->next(e));
+  (void)collect(*program.per_proc[1]);
+  program.reset_all();
+  for (auto& source : program.per_proc) (void)collect(*source);
+  testutil::expect_same_ideal(tap.finish(), expected);
+}
+
+TEST(IdealTap, FinishNeedsTheWholeTrace) {
+  ProgramTrace program = make_program(nested_trace());
+  const IdealTap tap(program);
+  (void)collect(*program.per_proc[0]);
+  EXPECT_DEATH((void)tap.finish(), "whole trace");
+}
+
+TEST(IdealTap, KeepsTheAnalyzerAssertions) {
+  ProgramTrace unheld = make_program({{load(1), lock_rel(0)}});
+  const IdealTap unheld_tap(unheld);
+  EXPECT_DEATH((void)collect(*unheld.per_proc[0]), "does not hold");
+
+  // A trace that ends inside a critical section fails when it ends, before
+  // any consumer asks for the statistics.
+  ProgramTrace open = make_program({{lock_acq(0), load(1)}});
+  const IdealTap open_tap(open);
+  EXPECT_DEATH((void)collect(*open.per_proc[0]), "holding a lock");
+}
+
 }  // namespace
 }  // namespace syncpat::trace

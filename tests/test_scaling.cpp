@@ -43,6 +43,8 @@
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
+#include "test_util.hpp"
+
 namespace syncpat {
 namespace {
 
@@ -416,26 +418,6 @@ TEST(LargeP, EventQueueHandles1024Sources) {
 // event's cost independent of P and must leave every result unchanged.
 // ---------------------------------------------------------------------------
 
-/// bench_scaling's contended weak-scaling workload (two shared locks, 90 %
-/// on the dominant one, one closing barrier), at `refs` references.
-workload::BenchmarkProfile scale_study(std::uint32_t procs, std::uint64_t refs) {
-  workload::BenchmarkProfile p;
-  p.name = "ScaleStudy";
-  p.num_procs = procs;
-  p.refs_per_proc = refs;
-  p.data_ref_fraction = 0.35;
-  p.work_cycles_per_ref = 3.0;
-  p.locking.pairs_per_proc = 2;
-  p.locking.cs_work_cycles = 30.0;
-  p.locking.num_locks = 2;
-  p.locking.dominant_weight = 0.9;
-  p.locking.partitioned = false;
-  p.locking.cs_region_bias = 0.8;
-  p.locking.barriers_per_proc = 1;
-  p.seed = 0x5ca1e;
-  return p;
-}
-
 // Outside a buffered-write-back fallback, snoop_others() probes only caches
 // that hold the line, so every probe finds it and books exactly one supply
 // or received invalidation: probes per snooping transaction are its holders,
@@ -443,7 +425,7 @@ workload::BenchmarkProfile scale_study(std::uint32_t procs, std::uint64_t refs) 
 TEST(SnoopFilter, EveryProbeFindsTheLineAtP256) {
   constexpr std::uint32_t kProcs = 256;
   trace::ProgramTrace program =
-      workload::make_program_trace(scale_study(kProcs, 150));
+      workload::make_program_trace(testutil::scale_study(kProcs, 150));
   core::MachineConfig cfg;
   cfg.num_procs = kProcs;
   cfg.lock_scheme = sync::SchemeKind::kTtas;
@@ -509,7 +491,7 @@ TEST(SnoopFilter, DesMatchesTickAtP130UnderEveryDiscipline) {
   core::MachineConfig cfg;
   cfg.lock_scheme = sync::SchemeKind::kTtas;
   cfg.cache.size_bytes = 256;  // evicts constantly: holders come and go
-  expect_des_matches_tick(scale_study(130, 30), cfg);
+  expect_des_matches_tick(testutil::scale_study(130, 30), cfg);
 }
 
 // A snoop that finds a write-back of its line still buffered visits every

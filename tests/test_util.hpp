@@ -14,7 +14,9 @@
 #include "core/machine_config.hpp"
 #include "core/simulator.hpp"
 #include "trace/address_map.hpp"
+#include "trace/analyzer.hpp"
 #include "trace/source.hpp"
+#include "workload/profile.hpp"
 
 namespace syncpat::testutil {
 
@@ -72,6 +74,52 @@ inline core::MachineConfig machine(
 /// apart (never in the same 16-byte line).
 inline std::uint32_t shared_line(std::uint32_t i) {
   return trace::AddressMap::shared_addr(i * 64);
+}
+
+/// Expects equal ideal statistics: name, processor count and every field of
+/// every processor.
+inline void expect_same_ideal(const trace::IdealProgramStats& got,
+                              const trace::IdealProgramStats& want) {
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.num_procs, want.num_procs);
+  ASSERT_EQ(got.per_proc.size(), want.per_proc.size());
+  for (std::size_t p = 0; p < got.per_proc.size(); ++p) {
+    SCOPED_TRACE("processor " + std::to_string(p));
+    const trace::IdealProcStats& a = got.per_proc[p];
+    const trace::IdealProcStats& b = want.per_proc[p];
+    EXPECT_EQ(a.work_cycles, b.work_cycles);
+    EXPECT_EQ(a.refs_all, b.refs_all);
+    EXPECT_EQ(a.refs_data, b.refs_data);
+    EXPECT_EQ(a.refs_shared, b.refs_shared);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.shared_stores, b.shared_stores);
+    EXPECT_EQ(a.barriers, b.barriers);
+    EXPECT_EQ(a.lock_pairs, b.lock_pairs);
+    EXPECT_EQ(a.nested_pairs, b.nested_pairs);
+    EXPECT_EQ(a.held_cycles, b.held_cycles);
+    EXPECT_EQ(a.pair_hold_cycles, b.pair_hold_cycles);
+  }
+}
+
+/// bench_scaling's contended weak-scaling workload (two shared locks, 90 %
+/// on the dominant one, one closing barrier), at `refs` references.
+inline workload::BenchmarkProfile scale_study(std::uint32_t procs,
+                                              std::uint64_t refs) {
+  workload::BenchmarkProfile p;
+  p.name = "ScaleStudy";
+  p.num_procs = procs;
+  p.refs_per_proc = refs;
+  p.data_ref_fraction = 0.35;
+  p.work_cycles_per_ref = 3.0;
+  p.locking.pairs_per_proc = 2;
+  p.locking.cs_work_cycles = 30.0;
+  p.locking.num_locks = 2;
+  p.locking.dominant_weight = 0.9;
+  p.locking.partitioned = false;
+  p.locking.cs_region_bias = 0.8;
+  p.locking.barriers_per_proc = 1;
+  p.seed = 0x5ca1e;
+  return p;
 }
 
 /// A directory owned by the running test, "<TempDir>/<suite>.<test>",

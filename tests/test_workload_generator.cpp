@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <vector>
+
 #include "trace/analyzer.hpp"
 #include "trace/address_map.hpp"
 #include "workload/profiles.hpp"
@@ -50,15 +54,65 @@ TEST(Generator, DifferentProcsDiffer) {
   EXPECT_GT(diffs, 0);
 }
 
+/// Profiles that reach every branch of the generator's profile-only set-up:
+/// Topopt's skewed processor, Qsort's cold stream, cold slices clamped at
+/// P = 130 (130 default 4 MiB slices exceed the 384 MiB cold budget) with
+/// barriers, a mean gap of 1 (no draw) and one of 400 (no gap table).
+std::vector<BenchmarkProfile> setup_profiles() {
+  BenchmarkProfile clamped = tiny_profile();
+  clamped.name = "clamped-cold";
+  clamped.num_procs = 130;
+  clamped.refs_per_proc = 3'000;
+  clamped.locking.pairs_per_proc = 12;
+  clamped.locking.nested_per_proc = 4;
+  clamped.locking.barriers_per_proc = 2;
+  clamped.locality.cold_fraction = 0.2;
+  BenchmarkProfile no_draw = tiny_profile();
+  no_draw.name = "gap-1";
+  no_draw.work_cycles_per_ref = 1.0;
+  BenchmarkProfile no_table = tiny_profile();
+  no_table.name = "gap-400";
+  no_table.work_cycles_per_ref = 400.0;
+  return {topopt_profile().scaled(256), qsort_profile().scaled(256), clamped,
+          no_draw, no_table};
+}
+
+/// Index of the first event at which two streams differ, or -1.
+std::ptrdiff_t first_difference(const std::vector<trace::Event>& a,
+                                const std::vector<trace::Event>& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  return ia == a.end() && ib == b.end() ? -1 : ia - a.begin();
+}
+
 TEST(Generator, ResetReplaysIdentically) {
-  ProfileTraceSource s(tiny_profile(), 2);
-  std::vector<trace::Event> first;
-  trace::Event e;
-  for (int i = 0; i < 200 && s.next(e); ++i) first.push_back(e);
-  s.reset();
-  for (const trace::Event& expected : first) {
-    ASSERT_TRUE(s.next(e));
-    ASSERT_EQ(e, expected);
+  std::vector<BenchmarkProfile> profiles = setup_profiles();
+  profiles.push_back(tiny_profile());
+  for (const BenchmarkProfile& profile : profiles) {
+    ProfileTraceSource s(profile, 2);
+    const std::vector<trace::Event> first = trace::collect(s);
+    s.reset();
+    EXPECT_EQ(first_difference(trace::collect(s), first), -1) << profile.name;
+  }
+}
+
+// make_program_trace derives the profile-only set-up once and copies it into
+// every processor's source; each must still yield exactly the stream of a
+// source built on its own, before and after a reset.
+TEST(Generator, ProgramSourcesMatchStandaloneSources) {
+  for (const BenchmarkProfile& profile : setup_profiles()) {
+    SCOPED_TRACE(profile.name);
+    trace::ProgramTrace program = make_program_trace(profile);
+    ASSERT_EQ(program.num_procs(), profile.num_procs);
+    for (std::uint32_t proc = 0; proc < profile.num_procs; ++proc) {
+      ProfileTraceSource standalone(profile, proc);
+      const std::vector<trace::Event> want = trace::collect(standalone);
+      trace::TraceSource& source = *program.per_proc[proc];
+      ASSERT_EQ(first_difference(trace::collect(source), want), -1)
+          << "processor " << proc;
+      source.reset();
+      ASSERT_EQ(first_difference(trace::collect(source), want), -1)
+          << "processor " << proc << " after reset";
+    }
   }
 }
 
