@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/json_writer.hpp"
 #include "util/assert.hpp"
 
 namespace syncpat::obs {
@@ -33,17 +34,6 @@ void append_histogram_json(std::string& out, const util::Histogram& h) {
     first = false;
   }
   out += "]}";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  return out;
 }
 
 /// CSV cell-safe: the exported labels are program/scheme names (no commas or
