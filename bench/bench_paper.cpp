@@ -15,7 +15,6 @@
 // stall cycles, a cell fails, or a trace file cannot be written; 2 on a
 // malformed input.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -33,6 +32,7 @@
 #include "trace/address_map.hpp"
 #include "trace/source.hpp"
 #include "util/parse.hpp"
+#include "util/write_file.hpp"
 
 namespace {
 
@@ -124,12 +124,10 @@ bool print_figure1() {
 bool write_traces(const core::GridResult& run, const std::string& base) {
   for (std::size_t i = 0; i < run.size(); ++i) {
     const std::string path = obs::trace_out_path(base, run.cells[i].label());
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
+    if (!util::write_file(path, run.results[i].outcome.trace_json)) {
       std::cerr << "error: cannot write " << path << "\n";
       return false;
     }
-    out << run.results[i].outcome.trace_json;
     std::cout << "wrote " << path << "\n";
   }
   for (std::size_t i = 0; i < run.size(); ++i) {
