@@ -35,8 +35,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,6 +44,7 @@
 #include "core/simulator.hpp"
 #include "sync/scheme_factory.hpp"
 #include "trace/source.hpp"
+#include "util/write_file.hpp"
 #include "workload/generator.hpp"
 #include "workload/profile.hpp"
 
@@ -209,12 +210,12 @@ int main(int argc, char** argv) {
     curves.push_back(std::move(curve));
   }
 
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) {
+  std::ostringstream json;
+  emit_json(json, smoke, procs, refs, curves);
+  if (!util::write_file(out_path, json.str())) {
     std::cerr << "error: cannot write " << out_path << "\n";
     return 1;
   }
-  emit_json(out, smoke, procs, refs, curves);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

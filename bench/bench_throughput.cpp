@@ -25,8 +25,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +34,7 @@
 #include "core/simulator.hpp"
 #include "obs/self_profile.hpp"
 #include "trace/source.hpp"
+#include "util/write_file.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
 
@@ -308,14 +309,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
+  std::ostringstream json;
+  emit_json(json, scale, reps, cells);
+  bench_metrics_overhead(scale, reps, json);
+  json << "}\n";
+  if (!util::write_file(out_path, json.str())) {
     std::cerr << "error: cannot write " << out_path << "\n";
     return 1;
   }
-  emit_json(out, scale, reps, cells);
-  bench_metrics_overhead(scale, reps, out);
-  out << "}\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

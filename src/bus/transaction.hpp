@@ -46,7 +46,6 @@ struct Transaction {
   StallCause stall_cause = StallCause::kNone;
   bool is_lock_op = false;           // issued by a lock scheme
   std::uint8_t lock_step = 0;        // scheme-private state machine tag
-  bool forced_bus = false;           // atomic op: goes on the bus even on hit
   bool requester_waiting = false;    // the issuing processor stalls on this
   // Metrics-only tag (never branches simulation): this fetch re-acquires a
   // line a remote processor invalidated out of the requester's cache, so the
@@ -65,8 +64,6 @@ struct Transaction {
   bool fills_line = false;           // requester cache has a pending slot
 
   std::uint64_t issued_cycle = 0;
-  std::uint64_t granted_cycle = 0;
-  std::uint64_t completed_cycle = 0;
   // Cycle make_txn() ran; never re-stamped (issued_cycle is, on the memory
   // response path), so the tracing layer can report whole-transaction spans.
   std::uint64_t created_cycle = 0;
@@ -86,11 +83,11 @@ struct Transaction {
     return false;
   }
 
-  /// True for kinds whose request phase may route to memory and therefore
-  /// must not be granted while the memory input buffer is full.
-  [[nodiscard]] bool may_need_memory() const {
-    return kind == TxnKind::kRead || kind == TxnKind::kReadX ||
-           kind == TxnKind::kWriteBack || kind == TxnKind::kWriteThrough;
+  /// True when the requester's fences wait for this transaction: its own
+  /// data accesses, not lock-scheme steps, write-backs or hand-offs.
+  [[nodiscard]] bool counts_for_fence() const {
+    return !is_lock_op && kind != TxnKind::kWriteBack &&
+           kind != TxnKind::kHandoff;
   }
 
   [[nodiscard]] bool is_exclusive_request() const {

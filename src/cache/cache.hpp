@@ -152,7 +152,8 @@ class Cache {
   /// Current state of a line (kInvalid if absent).
   [[nodiscard]] LineState state(std::uint32_t addr) const;
 
-  /// Coherence-transition hook for the tracing layer: called as
+  /// Coherence-transition hook (the simulator's holder directory, invariant
+  /// checker and coherence trace): called as
   /// hook(ctx, line_addr, from, to) on every observable state change (silent
   /// E->M upgrades, fills, upgrades, snoops, evictions).  Pending-state
   /// bookkeeping transitions are not reported.  Null (the default) costs one
@@ -165,7 +166,7 @@ class Cache {
   }
 
   /// Visits every resident (non-Invalid) line as fn(line_addr, state).
-  /// Used by the invariant checker's cross-cache MESI sweeps.
+  /// Used by the invariant checker's run-end MESI sweep.
   template <typename Fn>
   void for_each_valid_line(Fn&& fn) const {
     const std::uint32_t num_sets = config_.num_sets();

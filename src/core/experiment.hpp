@@ -24,7 +24,7 @@ struct InvariantReport {
   bool enabled = false;
   std::uint64_t checks = 0;
   std::uint64_t violations = 0;
-  std::vector<std::string> samples;  // bounded, see InvariantConfig
+  std::vector<std::string> samples;  // bounded, see InvariantChecker
 };
 
 struct ExperimentOutcome {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "core/simulator.hpp"
 
@@ -21,16 +22,15 @@ namespace {
 
 }  // namespace
 
-InvariantChecker::InvariantChecker(const InvariantConfig& config,
-                                   bool fifo_scheme, std::uint32_t num_procs)
-    : config_(config), fifo_scheme_(fifo_scheme) {
+InvariantChecker::InvariantChecker(bool fifo_scheme, std::uint32_t num_procs)
+    : fifo_scheme_(fifo_scheme), listed_(num_procs) {
   acquiring_.assign(num_procs, kNoLine);
   releasing_.assign(num_procs, kNoLine);
 }
 
 void InvariantChecker::record(std::string message) {
   ++violation_count_;
-  if (violations_.size() < config_.max_recorded) {
+  if (violations_.size() < kMaxRecorded) {
     violations_.push_back(std::move(message));
   }
 }
@@ -38,61 +38,56 @@ void InvariantChecker::record(std::string message) {
 // --------------------------------------------------------------------------
 // Coherence
 
-void InvariantChecker::check_line_coherence(const Simulator& sim,
-                                            std::uint32_t line_addr,
-                                            std::uint64_t cycle) {
-  std::uint32_t owners = 0, sharers = 0;
-  std::int32_t owner_proc = -1, sharer_proc = -1;
-  for (std::uint32_t p = 0; p < sim.num_procs(); ++p) {
-    const cache::LineState s = sim.caches_[p]->state(line_addr);
-    ++checks_;
-    if (owns_line(s)) {
-      ++owners;
-      owner_proc = static_cast<std::int32_t>(p);
-    } else if (s == cache::LineState::kShared) {
-      ++sharers;
-      sharer_proc = static_cast<std::int32_t>(p);
-    }
-  }
-  if (owners > 1) {
-    record("MESI single-writer violated: line 0x" + hex(line_addr) +
-           " owned (E/M) by " + std::to_string(owners) + " caches at cycle " +
-           std::to_string(cycle));
-  } else if (owners == 1 && sharers > 0) {
-    record("MESI stale sharer: line 0x" + hex(line_addr) +
-           " owned (E/M) by proc " + std::to_string(owner_proc) +
-           " but Shared in proc " + std::to_string(sharer_proc) +
-           " at cycle " + std::to_string(cycle));
-  }
+void InvariantChecker::LineCounts::tally(cache::LineState state,
+                                         std::int32_t delta) {
+  if (owns_line(state)) owners += delta;
+  if (state == cache::LineState::kShared) sharers += delta;
 }
 
-void InvariantChecker::full_mesi_sweep(const Simulator& sim,
-                                       std::uint64_t cycle) {
-  // One pass over every cache, grouped by line address: resident states are
-  // sparse, so the per-line cross-check above would rescan caches for lines
-  // that only one cache holds.  The same pass rebuilds what the simulator's
-  // holder directory must say: each line's valid holders, and its
-  // write-backs buffered in the cache-bus interfaces.
+void InvariantChecker::on_transition(std::uint32_t line_addr,
+                                     cache::LineState from,
+                                     cache::LineState to) {
+  LineCounts& c = counts_[line_addr];
+  c.tally(from, -1);
+  c.tally(to, 1);
+  if (!std::exchange(c.changed, true)) changed_.push_back(line_addr);
+}
+
+void InvariantChecker::check_coherence(const Simulator& sim,
+                                       std::uint32_t line_addr,
+                                       const LineCounts& c) {
+  if (!(c.owners > 1 || (c.owners == 1 && c.sharers > 0))) return;
+  std::string held;
+  for (std::uint32_t p = 0; p < sim.num_procs(); ++p) {
+    const cache::LineState s = sim.caches_[p]->state(line_addr);
+    if (owns_line(s) || s == cache::LineState::kShared) {
+      held += ", proc " + std::to_string(p) + " (" + cache::state_name(s) + ")";
+    }
+  }
+  record((c.owners > 1 ? "MESI single-writer violated: line 0x"
+                       : "MESI stale sharer: line 0x") +
+         hex(line_addr) + " has " + std::to_string(c.owners) +
+         " owners (E/M) and " + std::to_string(c.sharers) +
+         " sharers at cycle " + std::to_string(sim.now()) + "; held by " +
+         (held.empty() ? "no cache" : held.substr(2)));
+}
+
+void InvariantChecker::full_mesi_sweep(const Simulator& sim) {
+  // One pass over every cache and cache-bus interface rebuilds each line's
+  // owners, sharers and buffered write-backs.  The checker's counts and the
+  // holder directory must match it line by line, both ways: every line any
+  // of the three knows gets a view.
   struct LineView {
-    std::uint32_t owners = 0, sharers = 0;
-    std::int32_t owner_proc = -1, sharer_proc = -1;
-    std::uint32_t writebacks = 0;
-    bool in_directory = false;
+    LineCounts held;               // in the caches
+    std::uint32_t writebacks = 0;  // in the interfaces
+    std::uint32_t listed = 0, listed_count = 0, listed_writebacks = 0;
   };
   std::unordered_map<std::uint32_t, LineView> lines;
   for (std::uint32_t p = 0; p < sim.num_procs(); ++p) {
     sim.caches_[p]->for_each_valid_line(
         [&](std::uint32_t line_addr, cache::LineState s) {
           ++checks_;
-          if (s == cache::LineState::kPending) return;
-          LineView& v = lines[line_addr];
-          if (owns_line(s)) {
-            ++v.owners;
-            v.owner_proc = static_cast<std::int32_t>(p);
-          } else if (s == cache::LineState::kShared) {
-            ++v.sharers;
-            v.sharer_proc = static_cast<std::int32_t>(p);
-          }
+          lines[line_addr].held.tally(s, 1);
         });
     const bus::BusInterface& iface = *sim.ifaces_[p];
     for (std::size_t i = 0; i < iface.size(); ++i) {
@@ -100,56 +95,44 @@ void InvariantChecker::full_mesi_sweep(const Simulator& sim,
       if (txn.kind == bus::TxnKind::kWriteBack) ++lines[txn.line_addr].writebacks;
     }
   }
-  for (const auto& [line_addr, v] : lines) {
-    if (v.owners > 1) {
-      record("MESI single-writer violated: line 0x" + hex(line_addr) +
-             " owned (E/M) by " + std::to_string(v.owners) +
-             " caches at cycle " + std::to_string(cycle));
-    } else if (v.owners == 1 && v.sharers > 0) {
-      record("MESI stale sharer: line 0x" + hex(line_addr) +
-             " owned (E/M) by proc " + std::to_string(v.owner_proc) +
-             " but Shared in proc " + std::to_string(v.sharer_proc) +
-             " at cycle " + std::to_string(cycle));
-    }
-  }
-
-  // The holder directory against the rebuilt view, both ways: every line it
-  // tracks must have exactly its listed holders and write-back count, and
-  // every held or buffered line must be tracked.  A listed processor must
-  // hold the line valid; with equal counts and distinct listed ids that
-  // makes the holder sets equal.
-  std::vector<std::uint32_t> listed(sim.num_procs());
+  for (const auto& [line_addr, c] : counts_) lines[line_addr];
+  const std::string at_cycle = " at cycle " + std::to_string(sim.now());
+  // A listed processor must hold the line valid; with as many distinct
+  // listed ids as holders, that makes the holder sets equal.
   sim.holders_.for_each_line([&](std::uint32_t line_addr,
                                  std::uint32_t holders,
                                  std::uint32_t writebacks) {
     ++checks_;
     LineView& v = lines[line_addr];
-    v.in_directory = true;
-    const std::uint32_t n = sim.holders_.holders(line_addr, listed.data());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const cache::LineState s = sim.caches_[listed[i]]->state(line_addr);
+    v.listed = sim.holders_.holders(line_addr, listed_.data());
+    v.listed_count = holders;
+    v.listed_writebacks = writebacks;
+    for (std::uint32_t i = 0; i < v.listed; ++i) {
+      const cache::LineState s = sim.caches_[listed_[i]]->state(line_addr);
       if (!owns_line(s) && s != cache::LineState::kShared) {
-        record("holder directory lists proc " + std::to_string(listed[i]) +
+        record("holder directory lists proc " + std::to_string(listed_[i]) +
                " for line 0x" + hex(line_addr) + " in state " +
-               cache::state_name(s) + " at cycle " + std::to_string(cycle));
+               cache::state_name(s) + at_cycle);
       }
-    }
-    if (n != holders || holders != v.owners + v.sharers ||
-        writebacks != v.writebacks) {
-      record("holder directory has " + std::to_string(holders) +
-             " holders and " + std::to_string(writebacks) +
-             " buffered write-backs for line 0x" + hex(line_addr) +
-             ", the machine " + std::to_string(v.owners + v.sharers) +
-             " and " + std::to_string(v.writebacks) + " at cycle " +
-             std::to_string(cycle));
     }
   });
   for (const auto& [line_addr, v] : lines) {
-    if (!v.in_directory) {
-      record("holder directory misses line 0x" + hex(line_addr) + " (" +
-             std::to_string(v.owners + v.sharers) + " holders, " +
-             std::to_string(v.writebacks) + " buffered write-backs) at cycle " +
-             std::to_string(cycle));
+    check_coherence(sim, line_addr, v.held);
+    const auto it = counts_.find(line_addr);
+    const LineCounts counted = it == counts_.end() ? LineCounts{} : it->second;
+    const auto holders =
+        static_cast<std::uint32_t>(v.held.owners + v.held.sharers);
+    if (counted.owners != v.held.owners || counted.sharers != v.held.sharers ||
+        v.listed != holders || v.listed_count != holders ||
+        v.listed_writebacks != v.writebacks) {
+      record("line 0x" + hex(line_addr) + ": the caches hold " +
+             std::to_string(v.held.owners) + " owners and " +
+             std::to_string(v.held.sharers) + " sharers and the interfaces " +
+             std::to_string(v.writebacks) + " write-backs; the transitions " +
+             "count " + std::to_string(counted.owners) + " and " +
+             std::to_string(counted.sharers) + ", the holder directory " +
+             std::to_string(v.listed) + " holders and " +
+             std::to_string(v.listed_writebacks) + " write-backs" + at_cycle);
     }
   }
 }
@@ -172,26 +155,29 @@ void InvariantChecker::check_one_txn_per_line(const Simulator& sim) {
 
 void InvariantChecker::on_cycle(const Simulator& sim) {
   check_one_txn_per_line(sim);
-  for (const auto& [line_addr, txn] : sim.line_inflight_) {
-    check_line_coherence(sim, line_addr, sim.now());
+  for (const std::uint32_t line_addr : changed_) {
+    const auto it = counts_.find(line_addr);
+    LineCounts& c = it->second;
+    ++checks_;
+    check_coherence(sim, line_addr, c);
+    const std::uint32_t listed =
+        sim.holders_.holders(line_addr, listed_.data());
+    if (c.owners < 0 || c.sharers < 0 ||
+        static_cast<std::int64_t>(listed) != c.owners + c.sharers) {
+      record("line 0x" + hex(line_addr) + ": the holder directory lists " +
+             std::to_string(listed) + " holders, the transitions count " +
+             std::to_string(c.owners) + " owners and " +
+             std::to_string(c.sharers) + " sharers at cycle " +
+             std::to_string(sim.now()));
+    }
+    c.changed = false;
+    if (c.owners == 0 && c.sharers == 0) counts_.erase(it);
   }
-  if (config_.mesi_sweep_period > 0 &&
-      sim.now() % config_.mesi_sweep_period == 0) {
-    full_mesi_sweep(sim, sim.now());
-  }
-}
-
-void InvariantChecker::on_span(const Simulator& sim, std::uint64_t last_cycle,
-                               std::uint64_t through) {
-  const std::uint64_t period = config_.mesi_sweep_period;
-  if (period == 0 || through / period == last_cycle / period) return;
-  // One sweep stands for every period boundary in the span: the state is the
-  // same at all of them.  Label it with the last one.
-  full_mesi_sweep(sim, through / period * period);
+  changed_.clear();
 }
 
 void InvariantChecker::on_run_end(const Simulator& sim) {
-  full_mesi_sweep(sim, sim.now());
+  full_mesi_sweep(sim);
   for (std::uint32_t p = 0; p < acquiring_.size(); ++p) {
     if (releasing_[p] != kNoLine) {
       record("simulation ended with proc " + std::to_string(p) +

@@ -7,15 +7,17 @@
 //
 //  * MESI single-writer / no-stale-sharer: at most one cache holds a line
 //    Exclusive or Modified, and an owned line has no Shared copies elsewhere.
-//    Lines with a transaction in flight are checked every cycle; a periodic
-//    full sweep (mesi_sweep_period) catches stale sharers on quiet lines, and
-//    a final sweep runs at end of simulation.  On the DES engine "every
-//    cycle" means every event cycle: the state checked here changes only
-//    there, and a sweep period ending inside a bulk span is swept at the span.
-//  * The simulator's holder directory (the snoop filter) is exact: each full
-//    sweep rebuilds every line's valid holders from the caches and its
-//    buffered write-backs from the interfaces, and any difference — a
-//    missing, extra or stale entry — is a violation.
+//    The caches' transition hook passes every state change to the checker,
+//    which keeps its own owner and sharer counts per line, and at the end of
+//    every cycle checks each line that changed during it.  On the DES engine
+//    that is every event cycle: the caches change only there.  A violation
+//    is reported in the cycle it arises.
+//  * The simulator's holder directory (the snoop filter) is exact: each
+//    changed line's directory entry lists as many holders as the checker
+//    counts.  At run end a full sweep rebuilds every line's holders from the
+//    caches and its buffered write-backs from the interfaces, and compares
+//    them with the directory and with the checker's counts in both
+//    directions, so a state change made without its hook call shows there.
 //  * At most one transaction per line in flight: re-derived from transaction
 //    phases, independently of the simulator's own line_inflight_ bookkeeping.
 //  * Lock mutual exclusion: a processor only acquires a lock no other
@@ -26,7 +28,7 @@
 //    exact Graunke-Thakkar variant is excluded: its two-access enqueue
 //    admits a benign reordering window, §2.4.)
 //
-// Violations are counted and a bounded sample of messages is kept; the
+// Violations are counted and the first kMaxRecorded messages are kept; the
 // checker never aborts the simulation, so tests can assert on the outcome.
 #pragma once
 
@@ -36,7 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/machine_config.hpp"
+#include "cache/cache.hpp"
 
 namespace syncpat::core {
 
@@ -44,20 +46,17 @@ class Simulator;
 
 class InvariantChecker {
  public:
-  InvariantChecker(const InvariantConfig& config, bool fifo_scheme,
-                   std::uint32_t num_procs);
+  InvariantChecker(bool fifo_scheme, std::uint32_t num_procs);
 
   // --- simulator hooks -----------------------------------------------------
-  /// End of Simulator::step() and of every DES event cycle: per-cycle checks
-  /// plus the periodic sweep.
+  /// A cache moved `line_addr` from `from` to `to` (every change the
+  /// simulator's cache transition hook sees).
+  void on_transition(std::uint32_t line_addr, cache::LineState from,
+                     cache::LineState to);
+  /// End of Simulator::step() and of every DES event cycle: checks the lines
+  /// that changed during the cycle and the transactions in flight.
   void on_cycle(const Simulator& sim);
-  /// A DES bulk span advanced the clock from `last_cycle` (already checked)
-  /// through `through` without changing any state the checker reads.  The
-  /// per-cycle checks would repeat last_cycle's verdicts; only a periodic
-  /// sweep that falls inside the span is owed, and it sees the current state.
-  void on_span(const Simulator& sim, std::uint64_t last_cycle,
-               std::uint64_t through);
-  /// End of Simulator::run(): final full MESI sweep.
+  /// End of Simulator::run(): full MESI sweep.
   void on_run_end(const Simulator& sim);
 
   // --- lock protocol hooks -------------------------------------------------
@@ -78,15 +77,31 @@ class InvariantChecker {
   [[nodiscard]] bool ok() const { return violation_count_ == 0; }
 
  private:
+  static constexpr std::size_t kMaxRecorded = 16;  // messages kept verbatim
+
+  /// How many caches hold a line in E or M (owners) and in S (sharers).
+  struct LineCounts {
+    std::int32_t owners = 0, sharers = 0;
+    bool changed = false;  // listed in changed_
+    /// Adds `delta` to the count `state` belongs to (neither for I or P).
+    void tally(cache::LineState state, std::int32_t delta);
+  };
+
   void record(std::string message);
-  /// Cross-cache MESI check of one line; `cycle` labels violations.
-  void check_line_coherence(const Simulator& sim, std::uint32_t line_addr,
-                            std::uint64_t cycle);
-  void full_mesi_sweep(const Simulator& sim, std::uint64_t cycle);
+  /// Records a single-writer or stale-sharer violation if the counts make
+  /// one, naming every cache that holds the line.
+  void check_coherence(const Simulator& sim, std::uint32_t line_addr,
+                       const LineCounts& c);
+  void full_mesi_sweep(const Simulator& sim);
   void check_one_txn_per_line(const Simulator& sim);
 
-  InvariantConfig config_;
   bool fifo_scheme_;
+
+  // Coherence state mirrored from the transition hook: the lines some cache
+  // holds or that changed this cycle, and the changed ones.
+  std::unordered_map<std::uint32_t, LineCounts> counts_;
+  std::vector<std::uint32_t> changed_;
+  std::vector<std::uint32_t> listed_;   // holder-directory scratch, num_procs
 
   // Abstract lock state mirrored from the protocol hooks.
   static constexpr std::uint32_t kNoLine = 0xffff'ffffu;

@@ -58,15 +58,9 @@ struct DsmConfig {
 
 /// Opt-in runtime invariant checking (see core/invariant_checker.hpp).
 /// Compiled in unconditionally; a disabled checker costs one branch per
-/// cycle, so benches pay nothing.
+/// event cycle and one per cache state change, so benches pay nothing.
 struct InvariantConfig {
   bool enabled = false;
-  /// Cycles between full cross-cache MESI sweeps.  Lines with a transaction
-  /// in flight are checked every cycle regardless; the sweep catches stale
-  /// sharers on idle lines.
-  std::uint32_t mesi_sweep_period = 64;
-  /// How many violation messages to keep verbatim (all are counted).
-  std::uint32_t max_recorded = 16;
 };
 
 struct MachineConfig {

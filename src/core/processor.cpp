@@ -412,10 +412,6 @@ void Processor::on_txn_complete(Transaction* txn) {
   }
 }
 
-void Processor::replace_wait_txn(Transaction* from, Transaction* to) {
-  if (wait_txn_ == from) wait_txn_ = to;
-}
-
 void Processor::stall_on_txn(Transaction* txn) {
   SYNCPAT_ASSERT(state_ == ProcState::kRunning || state_ == ProcState::kSpin ||
                  state_ == ProcState::kWaitLock ||

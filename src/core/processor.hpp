@@ -91,15 +91,9 @@ class Processor {
 
   /// Queues a transaction for this processor's cache-bus buffer.
   void push_pending(bus::Transaction* txn) { pending_.push_back(txn); }
-  /// As push_pending but ahead of other not-yet-buffered transactions
-  /// (conversion re-issues that must keep their program-order slot).
-  void push_pending_front(bus::Transaction* txn) { pending_.push_front(txn); }
 
   /// The transaction this processor stalls on completed.
   void on_txn_complete(bus::Transaction* txn);
-
-  /// Swap the stalled-on transaction (upgrade converted to a read-exclusive).
-  void replace_wait_txn(bus::Transaction* from, bus::Transaction* to);
 
   /// Lock scheme: stall until `txn` completes (on_txn_complete will forward
   /// to the scheme).
@@ -120,9 +114,6 @@ class Processor {
   /// processors that only react to external stimuli (waiters on a
   /// transaction, spinners, passive lock/barrier waiters, finished traces).
   static constexpr std::uint64_t kNever = ~0ULL;
-
-  /// True when no transaction waits to drain into the bus interface.
-  [[nodiscard]] bool pending_empty() const { return pending_.empty(); }
 
   /// Cycles until this processor's next tick() can do anything beyond the
   /// per-cycle bookkeeping that settle() reproduces in bulk, from its own

@@ -73,7 +73,7 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
                               cfg_.cache.line_bytes);
   if (cfg_.invariants.enabled) {
     checker_ = std::make_unique<InvariantChecker>(
-        cfg_.invariants, is_fifo_scheme(cfg_.lock_scheme), nprocs);
+        is_fifo_scheme(cfg_.lock_scheme), nprocs);
   }
   if (cfg_.metrics.enabled) {
     metrics_ = std::make_shared<obs::MetricsRegistry>(cfg_.metrics);
@@ -437,8 +437,9 @@ void Simulator::step_des() {
     }
   }
 
-  // Caches, active_ and line_inflight_ — all the checker reads — change only
-  // on event cycles, so checking here sees every state per-cycle checks see.
+  // The caches, the holder directory and active_ — all the checker reads —
+  // change only on event cycles, so checking here sees every state
+  // per-cycle checks see.
   if (checker_) check_invariants();
 
   // Watchdog: the tick loop checks on exact kProgressCheckPeriod multiples;
@@ -475,7 +476,6 @@ void Simulator::run_des() {
       if (const std::uint64_t span = target - cycle_; span > 0) {
         bus_.free() ? bus_.advance_idle(span) : bus_.advance_busy(span);
         memory_.advance(span);
-        if (checker_) checker_->on_span(*this, cycle_, target);
         cycle_ = target;
         ++des_stats_.spans;
         des_stats_.span_cycles += span;
@@ -509,9 +509,7 @@ Transaction* Simulator::make_txn(TxnKind kind, std::uint32_t line_addr,
   txn->dsm_extra_cycles = dsm_extra_cycles(line_addr, requester);
   active_.emplace(txn->id, std::move(owned));
 
-  const bool counts_for_fence = !txn->is_lock_op && kind != TxnKind::kWriteBack &&
-                                kind != TxnKind::kHandoff;
-  if (requester >= 0 && counts_for_fence) {
+  if (requester >= 0 && txn->counts_for_fence()) {
     ++outstanding_fence_[static_cast<std::uint32_t>(requester)];
   }
   return txn;
@@ -637,7 +635,6 @@ bool Simulator::try_grant(std::uint32_t port) {
   if (txn->requester >= 0) des_touch(static_cast<std::uint32_t>(txn->requester));
   ifaces_[port]->pop_head();
   txn->kind = effective;
-  txn->granted_cycle = cycle_;
   txn->phase = TxnPhase::kOnBusReq;
   discipline_->record_grant(port, cycle_ - txn->issued_cycle, false);
   line_inflight_.emplace(txn->line_addr, txn);
@@ -864,12 +861,8 @@ void Simulator::finalize(Transaction* txn) {
     line_inflight_.erase(it);
   }
   txn->phase = TxnPhase::kDone;
-  txn->completed_cycle = cycle_;
 
-  const bool counts_for_fence = !txn->is_lock_op &&
-                                txn->kind != TxnKind::kWriteBack &&
-                                txn->kind != TxnKind::kHandoff;
-  if (txn->requester >= 0 && counts_for_fence) {
+  if (txn->requester >= 0 && txn->counts_for_fence()) {
     auto& count = outstanding_fence_[static_cast<std::uint32_t>(txn->requester)];
     SYNCPAT_ASSERT(count > 0);
     --count;
@@ -895,8 +888,8 @@ void Simulator::barrier_arrive(std::uint32_t proc, std::uint32_t line_addr) {
   const BarrierState& b = barriers_[line_addr];
   const StallCause cause = b.waiting.empty() ? StallCause::kCacheMiss
                                              : StallCause::kLockWait;
-  issue_lock_txn(proc, line_addr, TxnKind::kReadX, /*forced=*/true, cause,
-                 /*stalls=*/true, sync::kStepBarrier);
+  issue_lock_txn(proc, line_addr, TxnKind::kReadX, cause, /*stalls=*/true,
+                 sync::kStepBarrier);
 }
 
 void Simulator::lock_step_complete(std::uint32_t proc, std::uint32_t line_addr,
@@ -941,12 +934,11 @@ void Simulator::lock_step_complete(std::uint32_t proc, std::uint32_t line_addr,
 // SchemeServices
 
 void Simulator::issue_lock_txn(std::uint32_t proc, std::uint32_t line_addr,
-                               TxnKind kind, bool forced, StallCause cause,
-                               bool stalls, std::uint8_t step) {
+                               TxnKind kind, StallCause cause, bool stalls,
+                               std::uint8_t step) {
   des_touch(proc);
   Transaction* txn = make_txn(kind, line_addr, static_cast<std::int32_t>(proc),
                               cause, /*fills_line=*/false, /*lock_op=*/true);
-  txn->forced_bus = forced;
   txn->lock_step = step;
   if (stalls) {
     txn->requester_waiting = true;
@@ -1040,6 +1032,7 @@ void Simulator::cache_transition_hook(void* ctx, std::uint32_t line_addr,
     held ? sim.holders_.remove_holder(line_addr, hook->proc)
          : sim.holders_.add_holder(line_addr, hook->proc);
   }
+  if (sim.checker_) sim.checker_->on_transition(line_addr, from, to);
   if (sim.tracing(obs::category::kCoherence)) {
     sim.recorder_->emit(obs::TraceEvent{
         sim.cycle_, obs::EventKind::kMesiTransition,

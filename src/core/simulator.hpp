@@ -89,8 +89,8 @@ class Simulator final : public sync::SchemeServices {
     return static_cast<std::uint32_t>(procs_.size());
   }
   void issue_lock_txn(std::uint32_t proc, std::uint32_t line_addr,
-                      bus::TxnKind kind, bool forced, bus::StallCause cause,
-                      bool stalls, std::uint8_t step) override;
+                      bus::TxnKind kind, bus::StallCause cause, bool stalls,
+                      std::uint8_t step) override;
   void issue_handoff(std::uint32_t from_proc, std::uint32_t line_addr) override;
   [[nodiscard]] cache::LineState line_state(std::uint32_t proc,
                                             std::uint32_t line_addr) const override;
@@ -295,8 +295,8 @@ class Simulator final : public sync::SchemeServices {
     return recorder_ != nullptr && recorder_->wants(cat);
   }
   // Per-cache context for the coherence-transition hook, which keeps
-  // holders_ and feeds the coherence trace (stable addresses: sized once in
-  // the constructor).
+  // holders_ and feeds the invariant checker and the coherence trace (stable
+  // addresses: sized once in the constructor).
   struct CacheHookCtx {
     Simulator* sim = nullptr;
     std::uint32_t proc = 0;

@@ -30,10 +30,7 @@ class Memory {
   [[nodiscard]] bool input_full() const { return input_.full(); }
 
   /// Delivers a request from the bus.  Precondition: !input_full().
-  void push_request(bus::Transaction* txn) {
-    input_.push_back(txn);
-    ++requests_;
-  }
+  void push_request(bus::Transaction* txn) { input_.push_back(txn); }
 
   /// Response (if any) waiting for the bus.
   [[nodiscard]] bus::Transaction* pending_response() const {
@@ -95,7 +92,6 @@ class Memory {
   std::vector<bus::Transaction*> absorbed_;
   bus::Transaction* active_ = nullptr;
   std::uint32_t remaining_ = 0;
-  std::uint64_t requests_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t busy_cycles_ = 0;
 };

@@ -82,26 +82,4 @@ const char* event_kind_name(EventKind k) {
   return "?";
 }
 
-std::uint32_t event_category(EventKind k) {
-  switch (k) {
-    case EventKind::kAcquireBegin:
-    case EventKind::kAcquired:
-    case EventKind::kReleaseBegin:
-    case EventKind::kReleased:
-    case EventKind::kHandoff:
-    case EventKind::kTransferDone:
-    case EventKind::kSpinInvalidated:
-      return category::kLocks;
-    case EventKind::kBusGrant:
-    case EventKind::kBusComplete:
-      return category::kBus;
-    case EventKind::kMesiTransition:
-      return category::kCoherence;
-    case EventKind::kBarrierArrive:
-    case EventKind::kBarrierRelease:
-      return category::kBarriers;
-  }
-  return 0;
-}
-
 }  // namespace syncpat::obs

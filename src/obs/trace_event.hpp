@@ -52,7 +52,6 @@ enum class EventKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* event_kind_name(EventKind k);
-[[nodiscard]] std::uint32_t event_category(EventKind k);
 
 /// One instrumentation record.  `a`/`b` are kind-specific payloads (see the
 /// per-kind comments above); proc is -1 for machine-wide events.

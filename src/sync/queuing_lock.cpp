@@ -88,8 +88,8 @@ void QueuingLock::on_txn_complete(std::uint32_t proc, std::uint32_t line_addr,
       const auto next = static_cast<std::uint32_t>(lock.pending_next);
       services_.proc_release_done(proc);
       services_.issue_lock_txn(next, spin_line(next), bus::TxnKind::kRead,
-                               /*forced=*/true, bus::StallCause::kLockWait,
-                               /*stalls=*/true, kStepSpinRead);
+                               bus::StallCause::kLockWait, /*stalls=*/true,
+                               kStepSpinRead);
       break;
     }
     case kStepSpinRead: {

@@ -66,14 +66,14 @@ class SchemeServices {
   [[nodiscard]] virtual std::uint64_t now() const = 0;
   [[nodiscard]] virtual std::uint32_t num_procs() const = 0;
 
-  /// Issues a transaction on `proc`'s behalf.  `forced` transactions are
-  /// atomic operations: they go to the bus even if the line is cached.
-  /// `stalls` means the processor waits for completion (on_txn_complete()
-  /// fires then); non-stalling issues complete silently.
+  /// Issues a transaction on `proc`'s behalf.  It goes to the bus whether
+  /// or not the line is cached: callers that can hit in the cache check
+  /// line_state() first.  `stalls` means the processor waits for
+  /// completion (on_txn_complete() fires then); non-stalling issues
+  /// complete silently.
   virtual void issue_lock_txn(std::uint32_t proc, std::uint32_t line_addr,
-                              bus::TxnKind kind, bool forced,
-                              bus::StallCause cause, bool stalls,
-                              std::uint8_t step) = 0;
+                              bus::TxnKind kind, bus::StallCause cause,
+                              bool stalls, std::uint8_t step) = 0;
 
   /// Issues a queuing-lock hand-off transfer from `from_proc`.  When the
   /// transfer wins bus arbitration, on_handoff_granted(line_addr) fires.
@@ -142,7 +142,7 @@ class BasicScheme : public LockScheme {
   /// store that always fetches the line: a forced ownership transaction.
   void atomic(std::uint32_t proc, std::uint32_t line, bool contended,
               std::uint8_t step) {
-    services_.issue_lock_txn(proc, line, bus::TxnKind::kReadX, /*forced=*/true,
+    services_.issue_lock_txn(proc, line, bus::TxnKind::kReadX,
                              cause(contended), /*stalls=*/true, step);
   }
 
@@ -155,14 +155,14 @@ class BasicScheme : public LockScheme {
         services_.line_state(proc, line) == cache::LineState::kShared
             ? bus::TxnKind::kUpgrade
             : bus::TxnKind::kReadX;
-    services_.issue_lock_txn(proc, line, kind, /*forced=*/true,
-                             cause(contended), /*stalls=*/true, step);
+    services_.issue_lock_txn(proc, line, kind, cause(contended),
+                             /*stalls=*/true, step);
   }
 
   /// The spin loop's read of `line` over the bus.
   void read(std::uint32_t proc, std::uint32_t line, bool contended = true) {
-    services_.issue_lock_txn(proc, line, bus::TxnKind::kRead, /*forced=*/false,
-                             cause(contended), /*stalls=*/true, kStepSpinRead);
+    services_.issue_lock_txn(proc, line, bus::TxnKind::kRead, cause(contended),
+                             /*stalls=*/true, kStepSpinRead);
   }
 
   /// Spins on `line`: parks on a valid cached copy (no bus traffic until an

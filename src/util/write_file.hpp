@@ -1,5 +1,6 @@
 // Whole-file output for the --trace-out and --metrics-out files that
-// syncpat_cli and bench_paper write.
+// syncpat_cli and bench_paper write, and for the JSON reports of
+// bench_scaling and bench_throughput.
 #pragma once
 
 #include <fstream>

@@ -82,12 +82,8 @@ TEST(EngineDifferential, ByteIdenticalAcrossSchemesModelsAndPolicies) {
             " policy=" + cache::write_policy_name(policy);
         const RunOutput des = run_once(scaled, cfg, core::EngineKind::kDes);
         const RunOutput tick = run_once(scaled, cfg, core::EngineKind::kTick);
-        // Every event cycle still gets the per-cycle checks; a sparse full
-        // MESI sweep keeps this arm near the cost of a plain run (the
-        // default period is exercised by Invariants.* and the fuzzer).
         core::MachineConfig checked_cfg = cfg;
         checked_cfg.invariants.enabled = true;
-        checked_cfg.invariants.mesi_sweep_period = 4096;
         const RunOutput checked =
             run_once(scaled, checked_cfg, core::EngineKind::kDes);
         EXPECT_TRUE(des.des.enabled);

@@ -1,7 +1,9 @@
 // Invariant-checker suite: every shipped lock scheme, under both memory
 // models, runs a contended workload with the checker enabled and must show
-// zero violations — then two deliberately-broken in-test schemes prove the
-// checker actually fires (mutual exclusion, FIFO hand-off) on both engines.
+// zero violations — then hand-fed cache transitions prove the coherence
+// check fires in the cycle a violation arises, and two deliberately-broken
+// in-test schemes prove the lock checks fire (mutual exclusion, FIFO
+// hand-off) on both engines.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -47,8 +49,8 @@ TEST(Invariants, AllSchemesAndModelsRunClean) {
     config.lock_scheme = c.scheme;
     config.consistency = c.model;
     config.invariants.enabled = true;
-    // A small cache keeps the periodic full MESI sweep cheap and forces
-    // evictions/refills, exercising more coherence paths, not fewer.
+    // A small cache forces evictions/refills, exercising more coherence
+    // paths, not fewer.
     config.cache.size_bytes = 16 * 1024;
 
     const core::ExperimentOutcome outcome =
@@ -63,35 +65,99 @@ TEST(Invariants, AllSchemesAndModelsRunClean) {
   }
 }
 
-// The DES core runs the per-cycle checks at its event cycles and the
-// periodic sweep for a span that crosses a sweep boundary.  Proc 0 computes
-// for 2000 cycles between its stores: one long span over several 512-cycle
-// boundaries, with no event cycle on any of them.
+// The DES core runs the per-cycle checks at its event cycles, not only at run
+// end.  Proc 0 computes for 2000 cycles between its stores: one long span
+// with no event cycle in it.
 TEST(Invariants, DesChecksEventCyclesAndSpans) {
-  const auto checks = [](std::uint32_t sweep_period) {
-    trace::ProgramTrace program = testutil::make_program({
-        {store(testutil::shared_line(1)),
-         store(testutil::shared_line(2), 2000)},
-        {load(testutil::shared_line(1), 5)},
-    });
-    core::MachineConfig config = testutil::machine();
-    config.invariants.enabled = true;
-    config.invariants.mesi_sweep_period = sweep_period;
-    config.num_procs = 2;
-    core::Simulator sim(config, program);
-    EXPECT_EQ(sim.engine(), core::EngineKind::kDes);
-    (void)sim.run();
-    EXPECT_GT(sim.des_stats().span_cycles, 1500u);
-    const core::InvariantChecker& checker = *sim.invariant_checker();
-    EXPECT_TRUE(checker.ok());
-    // What the end-of-run sweep alone counts.
-    core::InvariantChecker final_sweep(config.invariants, false, 2);
-    final_sweep.on_run_end(sim);
-    return std::pair{checker.checks(), final_sweep.checks()};
+  trace::ProgramTrace program = testutil::make_program({
+      {store(testutil::shared_line(1)), store(testutil::shared_line(2), 2000)},
+      {load(testutil::shared_line(1), 5)},
+  });
+  core::MachineConfig config = testutil::machine();
+  config.invariants.enabled = true;
+  config.num_procs = 2;
+  core::Simulator sim(config, program);
+  EXPECT_EQ(sim.engine(), core::EngineKind::kDes);
+  (void)sim.run();
+  EXPECT_GT(sim.des_stats().span_cycles, 1500u);
+  const core::InvariantChecker& checker = *sim.invariant_checker();
+  EXPECT_TRUE(checker.ok());
+  // What the end-of-run sweep alone counts.
+  core::InvariantChecker final_sweep(false, 2);
+  final_sweep.on_run_end(sim);
+  EXPECT_GT(checker.checks(), final_sweep.checks())
+      << "no checks at DES event cycles";
+}
+
+// The coherence check runs over the lines that changed, at the end of the
+// cycle they changed in.  A standalone checker is fed cache transitions by
+// hand beside a machine stepped cycle by cycle: both processors have read
+// line A (the directory lists two holders of it) and compute for a long
+// time, while the checker hears of a second owner of A, an owner of A beside
+// a sharer, and a holder of line B that the directory lacks.
+TEST(Invariants, ChangedLinesAreCheckedAtTheEndOfTheirCycle) {
+  constexpr cache::LineState I = cache::LineState::kInvalid;
+  constexpr cache::LineState S = cache::LineState::kShared;
+  constexpr cache::LineState E = cache::LineState::kExclusive;
+  constexpr cache::LineState M = cache::LineState::kModified;
+  const std::uint32_t a = testutil::shared_line(1);
+  const std::uint32_t b = testutil::shared_line(2);
+  trace::ProgramTrace program = testutil::make_program({
+      {load(a), load(b, 5000)},
+      {load(a), load(b, 5000)},
+  });
+  core::MachineConfig config = testutil::machine();
+  config.num_procs = 2;
+  config.engine = core::EngineKind::kTick;
+  core::Simulator sim(config, program);
+  while (sim.cache_of(0).state(a) != S || sim.cache_of(1).state(a) != S) {
+    ASSERT_LT(sim.now(), 1000u) << "line A never became shared";
+    sim.step();
+  }
+
+  struct Change {
+    std::uint32_t line;
+    cache::LineState from, to;
   };
-  const auto [unswept, final_sweep_only] = checks(0);
-  EXPECT_GT(unswept, final_sweep_only) << "no checks at DES event cycles";
-  EXPECT_GT(checks(512).first, unswept) << "no sweep for the span";
+  core::InvariantChecker checker(false, 2);
+  // Steps the machine one cycle in which the checker hears `changes`, and
+  // returns the violations it reports at the end of that cycle.
+  const auto cycle_with = [&](const std::vector<Change>& changes) {
+    sim.step();
+    const std::uint64_t before = checker.violation_count();
+    for (const Change& c : changes) checker.on_transition(c.line, c.from, c.to);
+    EXPECT_EQ(checker.violation_count(), before);
+    checker.on_cycle(sim);
+    const std::vector<std::string>& all = checker.violations();
+    return std::vector<std::string>(
+        all.begin() + static_cast<std::ptrdiff_t>(before), all.end());
+  };
+  // As cycle_with, expecting exactly one violation that names `what` and
+  // the cycle; returns its message.
+  const auto expect_one = [&](const std::vector<Change>& changes,
+                              const std::string& what) {
+    const std::vector<std::string> reported = cycle_with(changes);
+    if (reported.size() != 1) {
+      ADD_FAILURE() << reported.size() << " violations instead of " << what;
+      return std::string();
+    }
+    EXPECT_NE(reported[0].find(what), std::string::npos) << reported[0];
+    EXPECT_NE(reported[0].find("at cycle " + std::to_string(sim.now())),
+              std::string::npos)
+        << reported[0];
+    return reported[0];
+  };
+
+  ASSERT_TRUE(cycle_with({{a, I, S}, {a, I, S}}).empty());
+  const std::string two_owners =
+      expect_one({{a, S, E}, {a, S, M}}, "single-writer");
+  EXPECT_NE(two_owners.find("held by proc 0 (S), proc 1 (S)"),
+            std::string::npos)
+      << two_owners;
+  EXPECT_TRUE(cycle_with({}).empty()) << "reported again without a change";
+  expect_one({{a, E, S}}, "stale sharer");
+  expect_one({{b, I, S}}, "holder directory lists 0 holders");
+  EXPECT_EQ(sim.cache_of(0).state(b), I) << "the machine itself read line B";
 }
 
 // --------------------------------------------------------------------------
@@ -129,13 +195,13 @@ class NoMutexScheme final : public sync::LockScheme {
 
   void begin_acquire(std::uint32_t proc, std::uint32_t lock_line) override {
     services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                             /*forced=*/true, bus::StallCause::kCacheMiss,
-                             /*stalls=*/true, sync::kStepAcquire);
+                             bus::StallCause::kCacheMiss, /*stalls=*/true,
+                             sync::kStepAcquire);
   }
   void begin_release(std::uint32_t proc, std::uint32_t lock_line) override {
     services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                             /*forced=*/true, bus::StallCause::kCacheMiss,
-                             /*stalls=*/true, sync::kStepRelease);
+                             bus::StallCause::kCacheMiss, /*stalls=*/true,
+                             sync::kStepRelease);
   }
   void on_txn_complete(std::uint32_t proc, std::uint32_t /*line_addr*/,
                        std::uint8_t step) override {
@@ -180,13 +246,13 @@ class LifoScheme final : public sync::LockScheme {
 
   void begin_acquire(std::uint32_t proc, std::uint32_t lock_line) override {
     services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                             /*forced=*/true, bus::StallCause::kCacheMiss,
-                             /*stalls=*/true, sync::kStepAcquire);
+                             bus::StallCause::kCacheMiss, /*stalls=*/true,
+                             sync::kStepAcquire);
   }
   void begin_release(std::uint32_t proc, std::uint32_t lock_line) override {
     services_.issue_lock_txn(proc, lock_line, bus::TxnKind::kReadX,
-                             /*forced=*/true, bus::StallCause::kCacheMiss,
-                             /*stalls=*/true, sync::kStepRelease);
+                             bus::StallCause::kCacheMiss, /*stalls=*/true,
+                             sync::kStepRelease);
   }
   void on_txn_complete(std::uint32_t proc, std::uint32_t /*line_addr*/,
                        std::uint8_t step) override {

@@ -303,7 +303,7 @@ class StubServices final : public sync::SchemeServices {
   explicit StubServices(std::uint32_t procs) : procs_(procs) {}
   [[nodiscard]] std::uint64_t now() const override { return 0; }
   [[nodiscard]] std::uint32_t num_procs() const override { return procs_; }
-  void issue_lock_txn(std::uint32_t, std::uint32_t, bus::TxnKind, bool,
+  void issue_lock_txn(std::uint32_t, std::uint32_t, bus::TxnKind,
                       bus::StallCause, bool, std::uint8_t) override {}
   void issue_handoff(std::uint32_t, std::uint32_t) override {}
   [[nodiscard]] cache::LineState line_state(std::uint32_t,
@@ -448,8 +448,8 @@ TEST(SnoopFilter, EveryProbeFindsTheLineAtP256) {
   EXPECT_LT(snoops.probes, snooping * (kProcs - 1) / 10);
 }
 
-/// Runs `profile` on DES with the invariant checker attached (its sweeps
-/// cross-check the holder directory) and on per-cycle ticking, under every
+/// Runs `profile` on DES with the invariant checker attached (it
+/// cross-checks the holder directory) and on per-cycle ticking, under every
 /// discipline and both consistency models; the renders must match and the
 /// checker must stay clean.  Returns the DES runs' write-back fallbacks.
 std::uint64_t expect_des_matches_tick(const workload::BenchmarkProfile& profile,
