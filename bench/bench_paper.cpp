@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/experiment.hpp"
 #include "core/experiment_engine.hpp"
-#include "core/simulator.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/trace_event.hpp"
 #include "report/lock_timeline.hpp"
@@ -110,9 +110,9 @@ bool print_figure1() {
   };
   program.per_proc.push_back(
       std::make_unique<trace::VectorTraceSource>(events));
-  config.num_procs = 1;
-  core::Simulator sim(config, program);
-  const std::uint64_t stall = sim.run().per_proc[0].stall_cache;
+  const core::ExperimentOutcome probe =
+      core::run_experiment(config, std::move(program));
+  const std::uint64_t stall = probe.sim.per_proc[0].stall_cache;
   std::cout << "single cold read miss: " << stall
             << " stall cycles (paper: 6)\n";
   return stall == 6;

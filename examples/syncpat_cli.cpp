@@ -58,10 +58,9 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/experiment_engine.hpp"
-#include "core/invariant_checker.hpp"
 #include "core/machine_config.hpp"
-#include "core/simulator.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "report/lock_timeline.hpp"
@@ -209,9 +208,9 @@ Options parse(int argc, char** argv) {
     else if (arg == "--check-invariants") opt.check_invariants = true;
     else if (arg == "--engine") {
       const std::string name = value();
-      if (name == "des") opt.engine = core::EngineKind::kDes;
-      else if (name == "tick") opt.engine = core::EngineKind::kTick;
-      else {
+      try {
+        opt.engine = core::engine_from_name(name);
+      } catch (const std::invalid_argument&) {
         std::cerr << "error: --engine expects \"des\" or \"tick\", got \""
                   << name << "\"\n";
         std::exit(2);
@@ -252,6 +251,33 @@ trace::ProgramTrace load_program(const Options& opt) {
   return trace::load_program_trace(opt.program);
 }
 
+obs::MetricsMeta metrics_meta(const core::SimulationResult& r) {
+  return {r.program, r.scheme, r.consistency, r.num_procs, r.run_time};
+}
+
+/// A cell's metrics in the format `path`'s extension names: JSON reuses the
+/// cell's pre-rendered bytes (the ones the jobs-identity test compares), CSV
+/// renders from the registry.
+std::string metrics_bytes(const core::ExperimentOutcome& outcome,
+                          const std::string& path) {
+  return obs::metrics_format_from_path(path) == obs::MetricsFormat::kJson
+             ? outcome.metrics_json
+             : obs::metrics_to_csv(*outcome.metrics,
+                                   metrics_meta(outcome.sim));
+}
+
+/// Writes `bytes` to `path` and prints "wrote PATH" and `note`; on failure
+/// prints an error instead and returns false.
+bool write_output(const std::string& path, const std::string& bytes,
+                  const char* note = "") {
+  if (!util::write_file(path, bytes)) {
+    std::cerr << "error: cannot write " << path << "\n";
+    return false;
+  }
+  std::cout << "wrote " << path << note << "\n";
+  return true;
+}
+
 /// --sweep: every lock scheme x both memory models on the parallel engine.
 int run_sweep(const Options& opt, const core::MachineConfig& base) {
   const std::vector<workload::BenchmarkProfile> profiles =
@@ -271,7 +297,6 @@ int run_sweep(const Options& opt, const core::MachineConfig& base) {
 
   core::ExperimentGrid grid;
   grid.base = base;
-  grid.base.invariants.enabled = opt.check_invariants;
   grid.profiles = {profile};
   grid.schemes = sync::all_scheme_kinds();
   grid.consistency_models = {bus::ConsistencyModel::kSequential,
@@ -291,9 +316,9 @@ int run_sweep(const Options& opt, const core::MachineConfig& base) {
   bool violations = false;
   for (std::size_t i = 0; i < result.size(); ++i) {
     const core::CellResult& cell = result.results[i];
+    const std::string label = result.cells[i].label();
     if (!cell.ok()) {
-      std::cerr << "cell " << result.cells[i].label() << " failed: "
-                << cell.error << "\n";
+      std::cerr << "cell " << label << " failed: " << cell.error << "\n";
       return 1;
     }
     const core::SimulationResult& r = cell.outcome.sim;
@@ -305,40 +330,23 @@ int run_sweep(const Options& opt, const core::MachineConfig& base) {
                util::fixed(cell.wall_ms, 1)});
     if (cell.outcome.invariants.violations > 0) {
       violations = true;
-      std::cerr << "invariant violations in " << result.cells[i].label()
-                << ": " << cell.outcome.invariants.violations << " (first: "
+      std::cerr << "invariant violations in " << label << ": "
+                << cell.outcome.invariants.violations << " (first: "
                 << (cell.outcome.invariants.samples.empty()
                         ? "<none recorded>"
                         : cell.outcome.invariants.samples[0])
                 << ")\n";
     }
-    if (!opt.trace_out.empty() && grid.base.trace.enabled) {
-      const std::string path =
-          obs::trace_out_path(opt.trace_out, result.cells[i].label());
-      if (!util::write_file(path, cell.outcome.trace_json)) {
-        std::cerr << "error: cannot write " << path << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << path << "\n";
+    // The cell label splices into the --trace-out and --metrics-out paths.
+    if (!opt.trace_out.empty() && grid.base.trace.enabled &&
+        !write_output(obs::trace_out_path(opt.trace_out, label),
+                      cell.outcome.trace_json)) {
+      return 1;
     }
-    if (!opt.metrics_out.empty() && cell.outcome.metrics != nullptr) {
-      // Cell labels splice into the path like --trace-out; JSON reuses the
-      // cell's pre-rendered bytes (the same ones the jobs-identity test
-      // compares), CSV re-renders from the registry.
-      const std::string path =
-          obs::trace_out_path(opt.metrics_out, result.cells[i].label());
-      const obs::MetricsMeta meta{r.program, r.scheme, r.consistency,
-                                  r.num_procs, r.run_time};
-      const std::string bytes =
-          obs::metrics_format_from_path(opt.metrics_out) ==
-                  obs::MetricsFormat::kJson
-              ? cell.outcome.metrics_json
-              : obs::metrics_to_csv(*cell.outcome.metrics, meta);
-      if (!util::write_file(path, bytes)) {
-        std::cerr << "error: cannot write " << path << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << path << "\n";
+    if (!opt.metrics_out.empty() && cell.outcome.metrics != nullptr &&
+        !write_output(obs::trace_out_path(opt.metrics_out, label),
+                      metrics_bytes(cell.outcome, opt.metrics_out))) {
+      return 1;
     }
   }
   if (opt.csv) {
@@ -364,19 +372,15 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 1;
   }
-  if (opt.consistency == "sequential") {
-    config.consistency = bus::ConsistencyModel::kSequential;
-  } else if (opt.consistency == "weak") {
-    config.consistency = bus::ConsistencyModel::kWeak;
-  } else {
+  try {
+    config.consistency = bus::consistency_from_name(opt.consistency);
+  } catch (const std::invalid_argument&) {
     std::cerr << "unknown consistency model: " << opt.consistency << "\n";
     return 1;
   }
-  if (opt.write_policy == "write-back") {
-    config.write_policy = cache::WritePolicy::kWriteBack;
-  } else if (opt.write_policy == "write-through") {
-    config.write_policy = cache::WritePolicy::kWriteThrough;
-  } else {
+  try {
+    config.write_policy = cache::write_policy_from_name(opt.write_policy);
+  } catch (const std::invalid_argument&) {
     std::cerr << "unknown write policy: " << opt.write_policy << "\n";
     return 1;
   }
@@ -426,19 +430,10 @@ int main(int argc, char** argv) {
     return report.ok() ? 0 : 1;
   }
 
-  config.num_procs = static_cast<std::uint32_t>(program.num_procs());
-
-  // The ideal statistics accumulate as the simulator pulls the trace.
-  const trace::IdealTap ideal_tap(program);
-  core::Simulator sim(config, program);
-  obs::ChromeTraceSink chrome(opt.program, config.num_procs);
-  obs::LockTimelineSink timeline;
-  if (obs::EventRecorder* rec = sim.recorder()) {
-    rec->add_sink(&chrome);
-    rec->add_sink(&timeline);
-  }
-  const core::SimulationResult r = sim.run();
-  const trace::IdealProgramStats ideal = ideal_tap.finish();
+  const core::ExperimentOutcome outcome =
+      core::run_experiment(config, std::move(program));
+  const core::SimulationResult& r = outcome.sim;
+  const trace::IdealProgramStats& ideal = outcome.ideal;
 
   report::Table t("syncpat: " + r.program + " on " + r.scheme + "/" +
                   r.consistency + "/" + opt.write_policy);
@@ -471,15 +466,13 @@ int main(int argc, char** argv) {
   } else {
     t.print(std::cout);
   }
-  if (opt.per_lock) {
-    report::per_lock_table(sim.lock_stats().per_lock()).print(std::cout);
-  }
-  if (const obs::MetricsRegistry* m = sim.metrics()) {
-    const obs::MetricsMeta meta{r.program, r.scheme, r.consistency,
-                                r.num_procs, r.run_time};
-    const report::Table profile[] = {report::machine_profile_cycles(*m, meta),
-                                     report::machine_profile_locks(*m),
-                                     report::machine_profile_bus(*m, meta)};
+  if (opt.per_lock) report::per_lock_table(outcome.per_lock).print(std::cout);
+  if (outcome.metrics != nullptr) {
+    const obs::MetricsRegistry& m = *outcome.metrics;
+    const obs::MetricsMeta meta = metrics_meta(r);
+    const report::Table profile[] = {report::machine_profile_cycles(m, meta),
+                                     report::machine_profile_locks(m),
+                                     report::machine_profile_bus(m, meta)};
     for (const report::Table& section : profile) {
       if (opt.csv) {
         std::cout << section.to_csv();
@@ -487,38 +480,30 @@ int main(int argc, char** argv) {
         section.print(std::cout);
       }
     }
-    if (!opt.metrics_out.empty()) {
-      if (!util::write_file(
-              opt.metrics_out,
-              obs::render_metrics(
-                  *m, meta, obs::metrics_format_from_path(opt.metrics_out)))) {
-        std::cerr << "error: cannot write " << opt.metrics_out << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << opt.metrics_out << "\n";
+    if (!opt.metrics_out.empty() &&
+        !write_output(opt.metrics_out, metrics_bytes(outcome, opt.metrics_out))) {
+      return 1;
     }
   }
-  if (sim.recorder() != nullptr) {
-    if (!opt.trace_out.empty()) {
-      if (!util::write_file(opt.trace_out, chrome.finish())) {
-        std::cerr << "error: cannot write " << opt.trace_out << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << opt.trace_out
-                << " (open at ui.perfetto.dev)\n";
+  if (config.trace.enabled) {
+    if (!opt.trace_out.empty() &&
+        !write_output(opt.trace_out, outcome.trace_json,
+                      " (open at ui.perfetto.dev)")) {
+      return 1;
     }
     if ((config.trace.categories & obs::category::kLocks) != 0) {
-      report::lock_timeline_table(timeline.take(r.run_time)).print(std::cout);
+      report::lock_timeline_table(outcome.lock_timeline).print(std::cout);
     }
   }
-  if (const core::InvariantChecker* checker = sim.invariant_checker()) {
-    std::cout << "invariants: " << util::with_commas(checker->checks())
-              << " checks, " << util::with_commas(checker->violation_count())
+  if (outcome.invariants.enabled) {
+    std::cout << "invariants: " << util::with_commas(outcome.invariants.checks)
+              << " checks, "
+              << util::with_commas(outcome.invariants.violations)
               << " violations\n";
-    for (const std::string& v : checker->violations()) {
+    for (const std::string& v : outcome.invariants.samples) {
       std::cerr << "  violation: " << v << "\n";
     }
-    if (!checker->ok()) return 1;
+    if (outcome.invariants.violations > 0) return 1;
   }
   return 0;
 }

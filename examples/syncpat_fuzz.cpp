@@ -3,6 +3,7 @@
 // Generates seeded random machine/workload/lock-scheme combinations and runs
 // each under a battery of oracles (invariant checker, engine and --jobs
 // differentials, trace round-trip, conservation and metrics identities).
+// The cases run on --jobs workers; the report follows in case order.
 // Failing cases are automatically shrunk to a minimal repro file that
 // `syncpat_fuzz --repro <file>` replays exactly.
 //
@@ -31,8 +32,9 @@ void usage(std::ostream& out) {
          "(default .)\n"
          "  --no-shrink     report failures without shrinking them\n"
          "  --verbose       print a line for every passing case too\n"
-         "  --jobs N        worker count for the --jobs differential "
-         "(default 3)\n"
+         "  --jobs N        workers for the batch of cases and for the "
+         "--jobs\n"
+         "                  differential (default 3)\n"
          "  --inject-failure  test hook: synthetic oracle that fails cases\n"
          "                    with >= 2 procs and >= 400 refs (shrinker "
          "exercise)\n";

@@ -1,5 +1,7 @@
 #include "bus/interface.hpp"
 
+#include <stdexcept>
+
 namespace syncpat::bus {
 
 const char* consistency_name(ConsistencyModel m) {
@@ -8,6 +10,14 @@ const char* consistency_name(ConsistencyModel m) {
     case ConsistencyModel::kWeak: return "weak";
   }
   return "?";
+}
+
+ConsistencyModel consistency_from_name(const std::string& name) {
+  if (name == "sequential") return ConsistencyModel::kSequential;
+  if (name == "weak") return ConsistencyModel::kWeak;
+  throw std::invalid_argument(
+      "consistency model expects \"sequential\" or \"weak\", got \"" + name +
+      "\"");
 }
 
 bool BusInterface::enqueue(Transaction* txn) {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "bus/transaction.hpp"
 #include "util/ring_buffer.hpp"
@@ -32,6 +33,9 @@ namespace syncpat::bus {
 enum class ConsistencyModel : std::uint8_t { kSequential, kWeak };
 
 [[nodiscard]] const char* consistency_name(ConsistencyModel m);
+/// Strict: accepts exactly "sequential" or "weak"; anything else throws
+/// std::invalid_argument naming the offending text.
+[[nodiscard]] ConsistencyModel consistency_from_name(const std::string& name);
 
 class BusInterface {
  public:

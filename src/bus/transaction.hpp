@@ -68,21 +68,6 @@ struct Transaction {
   // response path), so the tracing layer can report whole-transaction spans.
   std::uint64_t created_cycle = 0;
 
-  [[nodiscard]] bool needs_memory() const {
-    switch (kind) {
-      case TxnKind::kRead:
-      case TxnKind::kReadX:
-        return !supplied_by_cache;
-      case TxnKind::kWriteBack:
-      case TxnKind::kWriteThrough:
-        return true;
-      case TxnKind::kUpgrade:
-      case TxnKind::kHandoff:
-        return false;
-    }
-    return false;
-  }
-
   /// True when the requester's fences wait for this transaction: its own
   /// data accesses, not lock-scheme steps, write-backs or hand-offs.
   [[nodiscard]] bool counts_for_fence() const {

@@ -1,6 +1,7 @@
 #include "cache/cache.hpp"
 
 #include <bit>
+#include <stdexcept>
 
 namespace syncpat::cache {
 
@@ -184,6 +185,14 @@ const char* write_policy_name(WritePolicy p) {
     case WritePolicy::kWriteThrough: return "write-through";
   }
   return "?";
+}
+
+WritePolicy write_policy_from_name(const std::string& name) {
+  if (name == "write-back") return WritePolicy::kWriteBack;
+  if (name == "write-through") return WritePolicy::kWriteThrough;
+  throw std::invalid_argument(
+      "write policy expects \"write-back\" or \"write-through\", got \"" +
+      name + "\"");
 }
 
 bool Cache::access_write_through(std::uint32_t addr) {

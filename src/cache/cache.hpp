@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -41,6 +42,9 @@ enum class AccessClass : std::uint8_t { kIFetch, kRead, kWrite };
 enum class WritePolicy : std::uint8_t { kWriteBack, kWriteThrough };
 
 [[nodiscard]] const char* write_policy_name(WritePolicy p);
+/// Strict: accepts exactly "write-back" or "write-through"; anything else
+/// throws std::invalid_argument naming the offending text.
+[[nodiscard]] WritePolicy write_policy_from_name(const std::string& name);
 
 struct CacheConfig {
   std::uint32_t size_bytes = 64 * 1024;

@@ -13,21 +13,18 @@
 namespace syncpat::core {
 
 ExperimentOutcome run_experiment(const MachineConfig& config,
-                                 const workload::BenchmarkProfile& profile,
-                                 std::uint64_t scale) {
-  const workload::BenchmarkProfile scaled = profile.scaled(scale);
-  trace::ProgramTrace program = workload::make_program_trace(scaled);
+                                 trace::ProgramTrace program) {
   // Tables 1-2 come from the events the simulator pulls, as in the paper
-  // (§2.1): the trace is synthesized once per cell.
+  // (§2.1): the trace is synthesized or read once per cell.
   const trace::IdealTap ideal(program);
 
   ExperimentOutcome outcome;
   MachineConfig cfg = config;
-  cfg.num_procs = scaled.num_procs;
+  cfg.num_procs = static_cast<std::uint32_t>(program.num_procs());
   Simulator sim(cfg, program);
   // Per-cell sinks: each cell builds its own trace document during its own
   // run, so the grid engine's job count can never reorder trace output.
-  obs::ChromeTraceSink chrome(scaled.name, scaled.num_procs);
+  obs::ChromeTraceSink chrome(program.name, cfg.num_procs);
   obs::LockTimelineSink timeline;
   if (obs::EventRecorder* rec = sim.recorder()) {
     rec->add_sink(&chrome);
@@ -54,6 +51,13 @@ ExperimentOutcome run_experiment(const MachineConfig& config,
     outcome.invariants.samples = checker->violations();
   }
   return outcome;
+}
+
+ExperimentOutcome run_experiment(const MachineConfig& config,
+                                 const workload::BenchmarkProfile& profile,
+                                 std::uint64_t scale) {
+  return run_experiment(config,
+                        workload::make_program_trace(profile.scaled(scale)));
 }
 
 trace::IdealProgramStats run_ideal(const workload::BenchmarkProfile& profile,

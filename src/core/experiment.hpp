@@ -1,7 +1,8 @@
-// Experiment runner: the glue the bench harness uses to regenerate the
-// paper's tables.  Runs a benchmark profile under a machine configuration,
-// returning both the ideal analysis (Tables 1/2) and the simulation result
-// (Tables 3-8).
+// Experiment runner: the one recipe for a cell, which the engine, the CLI,
+// the fuzzer and the model validation share.  Runs a program (a benchmark
+// profile's synthesized trace or a loaded trace file) under a machine
+// configuration, returning both the ideal analysis (Tables 1/2) and the
+// simulation result (Tables 3-8).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "sync/lock_stats.hpp"
 #include "trace/analyzer.hpp"
+#include "trace/source.hpp"
 #include "workload/profile.hpp"
 
 namespace syncpat::core {
@@ -48,8 +50,14 @@ struct ExperimentOutcome {
   std::string metrics_json;
 };
 
-/// Runs `profile` (optionally length-scaled by `scale`) on the machine.  The
-/// ideal statistics accumulate during the simulated pass over the trace.
+/// Runs `program` on the machine, whose processor count becomes the
+/// program's: the one way to run a cell.  The ideal statistics accumulate
+/// during the simulated pass over the trace, and the trace is labelled with
+/// the program's name.
+[[nodiscard]] ExperimentOutcome run_experiment(const MachineConfig& config,
+                                               trace::ProgramTrace program);
+
+/// Synthesizes `profile` (optionally length-scaled by `scale`) and runs it.
 [[nodiscard]] ExperimentOutcome run_experiment(const MachineConfig& config,
                                                const workload::BenchmarkProfile& profile,
                                                std::uint64_t scale = 1);

@@ -1,9 +1,9 @@
 #include "core/experiment_engine.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -21,23 +21,20 @@ using Clock = std::chrono::steady_clock;
       .count();
 }
 
-[[nodiscard]] CellResult run_cell(const ExperimentCell& cell,
-                                  std::uint32_t max_attempts) {
+/// Attempts per cell before a std::bad_alloc becomes the cell's error.
+constexpr std::uint32_t kMaxAttempts = 3;
+
+[[nodiscard]] CellResult run_cell(const ExperimentCell& cell) {
   CellResult result;
   const Clock::time_point start = Clock::now();
-  for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    result.attempts = attempt;
+  for (std::uint32_t attempt = 1; attempt <= kMaxAttempts; ++attempt) {
     try {
-      if (cell.ideal_only) {
-        result.outcome.ideal = run_ideal(cell.profile, cell.scale);
-      } else {
-        result.outcome = run_experiment(cell.config, cell.profile, cell.scale);
-      }
+      result.outcome = run_experiment(cell.config, cell.profile, cell.scale);
       result.error.clear();
       break;
     } catch (const std::bad_alloc&) {
       result.error = "out of memory";
-      if (attempt < max_attempts) {
+      if (attempt < kMaxAttempts) {
         // Give concurrently-running cells a chance to finish and free their
         // simulators before retrying.
         std::this_thread::sleep_for(std::chrono::milliseconds(50) * attempt);
@@ -50,13 +47,6 @@ using Clock = std::chrono::steady_clock;
   result.wall_ms = ms_since(start);
   return result;
 }
-
-/// One mutex-protected deque per worker.  Owners pop from the front of their
-/// own deque; thieves steal from the back of others.
-struct WorkerQueue {
-  std::mutex mutex;
-  std::deque<std::size_t> items;
-};
 
 }  // namespace
 
@@ -112,7 +102,6 @@ std::vector<ExperimentCell> grid_cells(const ExperimentGrid& grid) {
               cell.config.write_policy = policy;
               cell.config.num_procs = cell.profile.num_procs;
               cell.scale = scale;
-              cell.ideal_only = grid.ideal_only;
               cells.push_back(std::move(cell));
             }
           }
@@ -127,6 +116,36 @@ GridResult run_grid(const ExperimentGrid& grid, const EngineOptions& options) {
   return run_grid(grid_cells(grid), options);
 }
 
+std::uint32_t parallel_for(std::size_t n, std::uint32_t jobs,
+                           const std::function<void(std::size_t)>& fn) {
+  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
+  jobs = static_cast<std::uint32_t>(
+      std::min<std::size_t>(jobs, std::max<std::size_t>(n, 1)));
+  std::atomic<std::size_t> cursor{0};
+  auto worker = [&] {
+    for (std::size_t i = cursor++; i < n; i = cursor++) fn(i);
+  };
+  if (jobs == 1) {
+    worker();
+    return 1;
+  }
+  // The caller only waits: cells run on the main thread allocate from the
+  // main heap, which returns memory to the system less readily (syncbench
+  // observed's peak RSS rose by up to a fifth).  Plain threads, because
+  // std::jthread workers raised syncbench's setup_s by a tenth to a fifth.
+  std::vector<std::thread> workers;
+  workers.reserve(jobs);
+  try {
+    for (std::uint32_t w = 0; w < jobs; ++w) workers.emplace_back(worker);
+  } catch (...) {
+    // The workers that did start drain the cursor before the error leaves.
+    for (std::thread& t : workers) t.join();
+    throw;
+  }
+  for (std::thread& t : workers) t.join();
+  return jobs;
+}
+
 GridResult run_grid(std::vector<ExperimentCell> cells,
                     const EngineOptions& options) {
   GridResult out;
@@ -134,69 +153,11 @@ GridResult run_grid(std::vector<ExperimentCell> cells,
   for (std::size_t i = 0; i < out.cells.size(); ++i) out.cells[i].index = i;
   out.results.resize(out.cells.size());
   const Clock::time_point start = Clock::now();
-
-  std::uint32_t jobs = options.jobs;
-  if (jobs == 0) {
-    jobs = std::max(1u, std::thread::hardware_concurrency());
-  }
-  jobs = std::min<std::uint32_t>(
-      jobs, std::max<std::size_t>(out.cells.size(), 1));
-  out.jobs_used = jobs;
-
-  const std::uint32_t max_attempts = std::max(options.max_attempts, 1u);
-
-  if (jobs == 1) {
-    for (const ExperimentCell& cell : out.cells) {
-      out.results[cell.index] = run_cell(cell, max_attempts);
-    }
-    out.wall_ms = ms_since(start);
-    return out;
-  }
-
-  // Deal cells round-robin, then let workers steal: long-running cells (e.g.
-  // Topopt at paper scale) end up alone on a worker while the others drain
-  // the rest.  No new work is ever produced, so "all deques empty" is a
-  // stable termination condition.
-  std::vector<WorkerQueue> queues(jobs);
-  for (std::size_t i = 0; i < out.cells.size(); ++i) {
-    queues[i % jobs].items.push_back(i);
-  }
-
-  auto worker = [&](std::uint32_t self) {
-    for (;;) {
-      std::size_t index = 0;
-      bool found = false;
-      {
-        std::lock_guard<std::mutex> lk(queues[self].mutex);
-        if (!queues[self].items.empty()) {
-          index = queues[self].items.front();
-          queues[self].items.pop_front();
-          found = true;
-        }
-      }
-      if (!found) {
-        for (std::uint32_t offset = 1; offset < jobs && !found; ++offset) {
-          WorkerQueue& victim = queues[(self + offset) % jobs];
-          std::lock_guard<std::mutex> lk(victim.mutex);
-          if (!victim.items.empty()) {
-            index = victim.items.back();
-            victim.items.pop_back();
-            found = true;
-          }
-        }
-      }
-      if (!found) return;  // every deque empty: done
-      out.results[index] = run_cell(out.cells[index], max_attempts);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(jobs);
-  for (std::uint32_t w = 0; w < jobs; ++w) {
-    threads.emplace_back(worker, w);
-  }
-  for (std::thread& t : threads) t.join();
-
+  // Each worker stores its cell's result at the cell's index.
+  out.jobs_used = parallel_for(out.cells.size(), options.jobs,
+                               [&out](std::size_t i) {
+                                 out.results[i] = run_cell(out.cells[i]);
+                               });
   out.wall_ms = ms_since(start);
   return out;
 }

@@ -1,15 +1,18 @@
 // Parallel experiment engine: runs a declarative cartesian grid of
 // experiments (profile × scheme × consistency model × write policy ×
-// processor count × scale) on a work-stealing thread pool.
+// processor count × scale) on a pool of workers that take cells in order
+// from one shared cursor.
 //
-// Every cell builds its own ProgramTrace and Simulator, so cells share no
-// mutable state and the grid parallelizes embarrassingly; results come back
-// indexed by cell, in deterministic grid order regardless of how the pool
-// scheduled them.  This is the substrate bench_paper, syncpat_cli --sweep,
-// and the golden regression tests run on.
+// Every cell builds its own ProgramTrace and Simulator (core::run_experiment),
+// so cells share no mutable state and the grid parallelizes embarrassingly;
+// results come back indexed by cell, in deterministic grid order regardless
+// of which worker ran which cell.  This is the substrate bench_paper,
+// syncpat_cli --sweep, and the golden regression tests run on; the fuzz batch
+// runs its cases on the same cursor (parallel_for).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,8 +34,6 @@ struct ExperimentGrid {
   std::vector<cache::WritePolicy> write_policies;
   std::vector<std::uint32_t> proc_counts;
   std::vector<std::uint64_t> scales;
-  /// Skip simulation: cells carry the ideal trace analysis only (Tables 1/2).
-  bool ideal_only = false;
 };
 
 /// One fully-resolved grid cell, in deterministic grid order
@@ -42,7 +43,6 @@ struct ExperimentCell {
   workload::BenchmarkProfile profile;  // num_procs already overridden
   MachineConfig config;                // scheme/consistency/policy resolved
   std::uint64_t scale = 1;
-  bool ideal_only = false;
 
   /// "Grav/queuing/sequential/write-back/p12/x8"
   [[nodiscard]] std::string label() const;
@@ -51,8 +51,7 @@ struct ExperimentCell {
 struct CellResult {
   ExperimentOutcome outcome;
   double wall_ms = 0.0;
-  std::uint32_t attempts = 0;  // 1 unless retried on std::bad_alloc
-  std::string error;           // non-empty when the cell failed terminally
+  std::string error;  // non-empty when the cell failed terminally
 
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
@@ -69,21 +68,28 @@ struct GridResult {
 struct EngineOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   std::uint32_t jobs = 0;
-  /// Attempts per cell before a std::bad_alloc becomes a cell error.
-  std::uint32_t max_attempts = 3;
 };
+
+/// Calls fn(i) once for every i in [0, n) on `jobs` workers (0 = every
+/// core, never more than n); jobs == 1 runs inline on the calling thread.
+/// Workers take indices from one shared cursor in increasing order; nothing
+/// is added mid-run, so an empty cursor means done.  Returns the worker
+/// count once every call has returned.  fn must not throw.
+std::uint32_t parallel_for(std::size_t n, std::uint32_t jobs,
+                           const std::function<void(std::size_t)>& fn);
 
 /// Expands the grid into its cells without running anything.
 [[nodiscard]] std::vector<ExperimentCell> grid_cells(const ExperimentGrid& grid);
 
-/// Runs every cell.  jobs == 1 runs inline on the calling thread (fully
-/// serial, no pool); otherwise a work-stealing pool of `jobs` workers.
-/// Results are deterministic and independent of the worker count.
+/// Runs every cell on parallel_for with options.jobs workers.  A cell that
+/// runs out of memory is retried twice, after a pause; any other exception
+/// becomes the cell's error.  Results are deterministic and independent of
+/// the worker count.
 [[nodiscard]] GridResult run_grid(const ExperimentGrid& grid,
                                   const EngineOptions& options = {});
 
 /// Same for an explicit cell list (e.g. several grids' cells concatenated,
-/// so they share one pool); cells are renumbered in list order.
+/// so they share one run); cells are renumbered in list order.
 [[nodiscard]] GridResult run_grid(std::vector<ExperimentCell> cells,
                                   const EngineOptions& options = {});
 

@@ -138,11 +138,24 @@ void InvariantChecker::full_mesi_sweep(const Simulator& sim) {
 }
 
 void InvariantChecker::check_one_txn_per_line(const Simulator& sim) {
-  // Re-derived from transaction phases, independent of line_inflight_.
-  std::unordered_map<std::uint32_t, std::uint64_t> first_on_line;
+  // Re-derived from transaction phases, independent of line_inflight_.  The
+  // reused vector keeps its capacity, so a clean cycle allocates nothing.
+  inflight_lines_.clear();
   for (const auto& [id, txn] : sim.active_) {
     if (!txn->holds_line_slot()) continue;
     ++checks_;
+    inflight_lines_.push_back(txn->line_addr);
+  }
+  std::sort(inflight_lines_.begin(), inflight_lines_.end());
+  if (std::adjacent_find(inflight_lines_.begin(), inflight_lines_.end()) ==
+      inflight_lines_.end()) {
+    return;
+  }
+  // Some line has two: report each later holder beside the line's first, in
+  // the order active_ lists them.
+  std::unordered_map<std::uint32_t, std::uint64_t> first_on_line;
+  for (const auto& [id, txn] : sim.active_) {
+    if (!txn->holds_line_slot()) continue;
     const auto [it, inserted] = first_on_line.emplace(txn->line_addr, id);
     if (!inserted) {
       record("two transactions in flight for line 0x" +

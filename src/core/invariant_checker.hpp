@@ -102,6 +102,7 @@ class InvariantChecker {
   std::unordered_map<std::uint32_t, LineCounts> counts_;
   std::vector<std::uint32_t> changed_;
   std::vector<std::uint32_t> listed_;   // holder-directory scratch, num_procs
+  std::vector<std::uint32_t> inflight_lines_;  // check_one_txn_per_line's lines
 
   // Abstract lock state mirrored from the protocol hooks.
   static constexpr std::uint32_t kNoLine = 0xffff'ffffu;

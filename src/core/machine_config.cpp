@@ -14,6 +14,13 @@ const char* engine_name(EngineKind kind) {
   return "?";
 }
 
+EngineKind engine_from_name(const std::string& name) {
+  if (name == "des") return EngineKind::kDes;
+  if (name == "tick") return EngineKind::kTick;
+  throw std::invalid_argument("engine expects \"des\" or \"tick\", got \"" +
+                              name + "\"");
+}
+
 const char* mem_model_name(MemModelKind kind) {
   switch (kind) {
     case MemModelKind::kBus: return "bus";

@@ -30,6 +30,9 @@ namespace syncpat::core {
 enum class EngineKind : std::uint8_t { kDes, kTick };
 
 [[nodiscard]] const char* engine_name(EngineKind kind);
+/// Strict: accepts exactly "des" or "tick"; anything else throws
+/// std::invalid_argument naming the offending text.
+[[nodiscard]] EngineKind engine_from_name(const std::string& name);
 
 /// Memory system cost model.
 ///   * kBus (default): the paper's machine — uniform memory behind the

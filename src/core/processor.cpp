@@ -290,8 +290,7 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
     SYNCPAT_ASSERT_MSG(inflight != nullptr,
                        "pending line without an in-flight transaction");
     if (cls == AccessClass::kWrite && inflight->kind == TxnKind::kReadX) {
-      ++stats_.merged_writes;  // store coalesces into the ownership fill
-      return IssueResult::kAdvance;
+      return IssueResult::kAdvance;  // the store coalesces into the fill
     }
     inflight->requester_waiting = true;
     wait_txn_ = inflight;
@@ -310,7 +309,6 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
         existing != nullptr && existing->kind == TxnKind::kWriteThrough) {
       // The previous store to this line is still queued; the words coalesce
       // in the buffer entry (a common write-buffer optimization).
-      ++stats_.merged_writes;
       return IssueResult::kAdvance;
     }
     Transaction* txn =

@@ -55,7 +55,6 @@ struct ProcStats {
   std::uint64_t completion_cycle = 0;
   std::uint64_t syncs = 0;
   std::uint64_t syncs_with_pending = 0;  // fence found unfinished accesses
-  std::uint64_t merged_writes = 0;       // stores coalesced into in-flight fills
   /// Where the work + stall cycles went, by machine-level cause; charged
   /// with the columns above, so it sums to completion_cycle.
   obs::ProcAttribution ledger;

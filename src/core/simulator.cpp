@@ -85,7 +85,6 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
     }
   }
   observe_bus_ = metrics_ != nullptr || tracing(obs::category::kBus);
-  des_stats_.enabled = cfg_.engine == EngineKind::kDes;
   des_acct_.assign(nprocs, 0);
   des_words_ = util::bit_words(nprocs);
   des_due_now_.assign(des_words_, 0);

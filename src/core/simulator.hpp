@@ -44,7 +44,6 @@ class InvariantChecker;
 /// diagnostic: every skipped cycle is bulk-accounted into the same counters
 /// stepping feeds, so results never depend on these.
 struct DesStats {
-  bool enabled = false;
   std::uint64_t stepped_cycles = 0;  // event cycles executed by step_des()
   std::uint64_t spans = 0;           // bulk advances between event cycles
   std::uint64_t span_cycles = 0;     // cycles covered by those advances

@@ -21,26 +21,6 @@ constexpr std::uint32_t kMaxProcs = 12;
 constexpr std::uint64_t kMinRefs = 200;
 constexpr std::uint64_t kMaxRefs = 3000;
 
-const char* consistency_text(bus::ConsistencyModel m) {
-  return m == bus::ConsistencyModel::kWeak ? "weak" : "sequential";
-}
-
-bus::ConsistencyModel consistency_from_text(const std::string& s) {
-  if (s == "sequential") return bus::ConsistencyModel::kSequential;
-  if (s == "weak") return bus::ConsistencyModel::kWeak;
-  throw std::invalid_argument("unknown consistency model in repro: " + s);
-}
-
-const char* policy_text(cache::WritePolicy p) {
-  return p == cache::WritePolicy::kWriteThrough ? "write-through" : "write-back";
-}
-
-cache::WritePolicy policy_from_text(const std::string& s) {
-  if (s == "write-back") return cache::WritePolicy::kWriteBack;
-  if (s == "write-through") return cache::WritePolicy::kWriteThrough;
-  throw std::invalid_argument("unknown write policy in repro: " + s);
-}
-
 std::string double_text(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", v);
@@ -215,9 +195,10 @@ workload::BenchmarkProfile FuzzCase::profile() const {
 std::string FuzzCase::describe() const {
   std::ostringstream out;
   out << "case " << index << ": p" << num_procs << " "
-      << sync::scheme_kind_name(scheme) << "/" << consistency_text(consistency)
-      << "/" << policy_text(write_policy) << " cache " << line_bytes << "B/"
-      << associativity << "w/2^" << sets_log2 << " bus " << bus_bytes
+      << sync::scheme_kind_name(scheme) << "/"
+      << bus::consistency_name(consistency) << "/"
+      << cache::write_policy_name(write_policy) << " cache " << line_bytes
+      << "B/" << associativity << "w/2^" << sets_log2 << " bus " << bus_bytes
       << "B buf " << buffer_depth << " mem " << mem_cycles << "cy, refs "
       << refs_per_proc << " pairs " << lock_pairs << " locks " << num_locks
       << " barriers " << barriers << " arb "
@@ -242,8 +223,8 @@ std::string FuzzCase::to_text() const {
   out << "mem_cycles " << mem_cycles << "\n";
   out << "mem_in_depth " << mem_in_depth << "\n";
   out << "mem_out_depth " << mem_out_depth << "\n";
-  out << "consistency " << consistency_text(consistency) << "\n";
-  out << "write_policy " << policy_text(write_policy) << "\n";
+  out << "consistency " << bus::consistency_name(consistency) << "\n";
+  out << "write_policy " << cache::write_policy_name(write_policy) << "\n";
   out << "scheme " << sync::scheme_kind_name(scheme) << "\n";
   out << "workload_seed " << workload_seed << "\n";
   out << "refs_per_proc " << refs_per_proc << "\n";
@@ -327,8 +308,8 @@ FuzzCase FuzzCase::from_text(const std::string& text) {
   c.mem_cycles = take_u32("mem_cycles");
   c.mem_in_depth = take_u32("mem_in_depth");
   c.mem_out_depth = take_u32("mem_out_depth");
-  c.consistency = consistency_from_text(take("consistency"));
-  c.write_policy = policy_from_text(take("write_policy"));
+  c.consistency = bus::consistency_from_name(take("consistency"));
+  c.write_policy = cache::write_policy_from_name(take("write_policy"));
   c.scheme = sync::scheme_kind_from_name(take("scheme"));
   c.workload_seed = take_u64("workload_seed");
   c.refs_per_proc = take_u64("refs_per_proc");

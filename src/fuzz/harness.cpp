@@ -1,8 +1,11 @@
 #include "fuzz/harness.hpp"
 
+#include <exception>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+
+#include "core/experiment_engine.hpp"
 
 namespace syncpat::fuzz {
 namespace {
@@ -30,9 +33,22 @@ HarnessReport run_fuzz(const HarnessOptions& opt, std::ostream& out) {
 
   out << "syncpat_fuzz: seed " << opt.seed << ", " << opt.cases << " cases\n";
 
+  // Every case's verdict, computed on the worker cursor; a case that throws
+  // keeps its exception for the report loop to rethrow when it gets there.
+  std::vector<OracleVerdict> verdicts(opt.cases);
+  std::vector<std::exception_ptr> errors(opt.cases);
+  core::parallel_for(opt.cases, opt.oracles.jobs, [&](std::size_t i) {
+    try {
+      verdicts[i] = oracle(FuzzCase::generate(opt.seed, i));
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+
   for (std::uint64_t i = 0; i < opt.cases; ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
     const FuzzCase c = FuzzCase::generate(opt.seed, i);
-    OracleVerdict verdict = oracle(c);
+    OracleVerdict& verdict = verdicts[i];
     ++report.cases_run;
     if (verdict.ok()) {
       if (opt.verbose) out << "ok    " << c.describe() << "\n";

@@ -30,6 +30,7 @@ struct HarnessOptions {
   bool verbose = false;
   /// Test hook: replaces run_oracles entirely (the shrinker test injects a
   /// deterministic synthetic failure through this).  Null = real battery.
+  /// Called from several threads at once.
   Oracle injected_oracle;
 };
 
@@ -47,7 +48,10 @@ struct HarnessReport {
   [[nodiscard]] bool ok() const { return failures.empty(); }
 };
 
-/// Runs the batch, streaming the deterministic report to `out`.
+/// Runs the batch: every case's oracles on core::parallel_for with
+/// opt.oracles.jobs workers, then, in case order, the deterministic report
+/// to `out`, shrinking failures one at a time.  A case whose oracles threw
+/// rethrows here once the report reaches it.
 HarnessReport run_fuzz(const HarnessOptions& opt, std::ostream& out);
 
 /// Replays a serialized case under the same oracle battery, printing the

@@ -4,8 +4,8 @@
 #include <set>
 #include <sstream>
 
+#include "core/experiment.hpp"
 #include "core/experiment_engine.hpp"
-#include "core/invariant_checker.hpp"
 #include "core/simulator.hpp"
 #include "fuzz/render.hpp"
 #include "obs/lock_timeline.hpp"
@@ -120,18 +120,30 @@ void check_sim_conservation(OracleVerdict& v,
   }
 }
 
-void check_metrics_conservation(OracleVerdict& v, const core::Simulator& sim) {
-  const obs::MetricsRegistry* m = sim.metrics();
+void check_metrics_conservation(OracleVerdict& v,
+                                const obs::MetricsRegistry* m) {
   if (m == nullptr) {
     fail(v, "metrics", "registry missing despite metrics.enabled");
     return;
   }
-  // The clipped bus gauge equals the bus's own tick-by-tick busy counter.
-  if (m->bus().total_busy() != sim.bus().busy_cycles()) {
+  // The clipped bus gauge equals the bus's own tick-by-tick busy counter,
+  // which the registry keeps as bus.busy_cycles.
+  const std::uint64_t busy = m->counters().at("bus.busy_cycles");
+  if (m->bus().total_busy() != busy) {
     fail(v, "metrics",
          "bus gauge total " + std::to_string(m->bus().total_busy()) +
-             " != bus busy_cycles " + std::to_string(sim.bus().busy_cycles()));
+             " != bus busy_cycles " + std::to_string(busy));
   }
+}
+
+/// Differential #7's plain side: per-cycle ticking with the checker, tracing
+/// and metrics off.
+std::string plain_tick_run(const core::MachineConfig& base,
+                           trace::ProgramTrace& program) {
+  core::MachineConfig cfg = base;
+  cfg.engine = core::EngineKind::kTick;
+  core::Simulator sim(cfg, program);
+  return render_result(sim.run());
 }
 
 void check_jobs_differential(OracleVerdict& v, const FuzzCase& c,
@@ -209,6 +221,8 @@ OracleVerdict run_oracles(const FuzzCase& c, const OracleOptions& opt) {
          "generated trace invalid: " + report.to_string(/*max_errors=*/3));
   }
 
+  const std::string plain = plain_tick_run(base, program);
+
   // Reference run: the DES core (pinned explicitly), invariant checker live,
   // lock tracing on so hand-off/acquire event counts can be conserved against
   // the stats aggregates.
@@ -218,36 +232,26 @@ OracleVerdict run_oracles(const FuzzCase& c, const OracleOptions& opt) {
   ref_cfg.trace.enabled = true;
   ref_cfg.trace.categories = obs::category::kLocks;
   ref_cfg.metrics.enabled = true;
-  program.reset_all();
-  core::Simulator ref_sim(ref_cfg, program);
-  obs::LockTimelineSink timeline;
-  if (obs::EventRecorder* rec = ref_sim.recorder()) rec->add_sink(&timeline);
-  const core::SimulationResult ref = ref_sim.run();
+  const core::ExperimentOutcome ref =
+      core::run_experiment(ref_cfg, std::move(program));
 
-  const core::InvariantChecker* checker = ref_sim.invariant_checker();
-  if (!checker->ok()) {
+  if (ref.invariants.violations > 0) {
     fail(v, "invariants",
-         std::to_string(checker->violation_count()) + " violation(s); first: " +
-             (checker->violations().empty() ? "<none recorded>"
-                                            : checker->violations()[0]));
+         std::to_string(ref.invariants.violations) + " violation(s); first: " +
+             (ref.invariants.samples.empty() ? "<none recorded>"
+                                             : ref.invariants.samples[0]));
   }
 
-  check_sim_conservation(v, ref, timeline.take(ref.run_time));
-  check_metrics_conservation(v, ref_sim);
+  check_sim_conservation(v, ref.sim, ref.lock_timeline);
+  check_metrics_conservation(v, ref.metrics.get());
 
-  // Differential #7: plain per-cycle ticking (checker, tracing and metrics
-  // off) vs the reference run.  Byte-identity simultaneously proves DES
-  // equivalence and that the checker, the recorder and the metrics registry
-  // never perturb a result.
-  core::MachineConfig tick_cfg = base;
-  tick_cfg.engine = core::EngineKind::kTick;
-  program.reset_all();
-  core::Simulator tick_sim(tick_cfg, program);
-  const std::string a = render_result(tick_sim.run());
-  const std::string b = render_result(ref);
-  if (a != b) {
+  // Differential #7: the plain run vs the reference run.  Byte-identity
+  // simultaneously proves DES equivalence and that the checker, the recorder
+  // and the metrics registry never perturb a result.
+  const std::string b = render_result(ref.sim);
+  if (plain != b) {
     fail(v, "engine",
-         "per-cycle tick vs DES results diverge at " + first_diff(a, b));
+         "per-cycle tick vs DES results diverge at " + first_diff(plain, b));
   }
 
   check_jobs_differential(v, c, base, profile, opt.jobs);

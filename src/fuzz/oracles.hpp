@@ -18,14 +18,15 @@
 //                        work + stalls == completion cycle (and so the stall
 //                        ledger's sum, booked by the same charge calls), and
 //                        run_time == max completion cycle;
-//   #6 metrics           the metrics registry's windowed bus gauge equals the
-//                        bus's own busy counter;
-//   #7 engine            the reference run — the DES core with the checker,
-//                        lock tracing and metrics attached — and a plain
-//                        per-cycle tick run produce byte-identical
-//                        SimulationResults (render_result string equality),
-//                        proving DES equivalence and that no observer
-//                        perturbs a result.
+//   #6 metrics           the metrics registry's windowed bus gauge equals its
+//                        bus.busy_cycles counter, the bus's own tick-by-tick
+//                        count;
+//   #7 engine            the reference run — core::run_experiment on the DES
+//                        core with the checker, lock tracing and metrics
+//                        attached — and a plain per-cycle tick run produce
+//                        byte-identical SimulationResults (render_result
+//                        string equality), proving DES equivalence and that
+//                        no observer perturbs a result.
 //
 // run_oracles never throws on a *failing* oracle — failures come back as
 // structured text so the harness can shrink and serialize the case.  It does
@@ -43,7 +44,8 @@ namespace syncpat::fuzz {
 
 /// Every oracle always runs; only the jobs differential takes a parameter.
 struct OracleOptions {
-  /// Worker count for the parallel side of the jobs differential.
+  /// Worker count for the parallel side of the jobs differential, and for
+  /// the harness's batch of cases.
   std::uint32_t jobs = 3;
 };
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "bus/transaction.hpp"
@@ -44,15 +43,10 @@ class Memory {
   /// blocking), matching a memory controller that cannot retire.
   void tick();
 
-  /// Write transactions the module absorbed since the last drain (the
-  /// simulator retires them; memory produces no response for writes).
-  [[nodiscard]] std::vector<bus::Transaction*> drain_absorbed() {
-    return std::exchange(absorbed_, {});
-  }
-
-  /// Allocation-free drain for the simulator's hot path: moves the absorbed
-  /// transactions into `out` (cleared first), keeping both vectors' capacity
-  /// across cycles.
+  /// Moves the write transactions the module absorbed since the last drain
+  /// into `out` (cleared first); the simulator retires them, since memory
+  /// produces no response for writes.  Both vectors keep their capacity
+  /// across cycles, so the simulator's hot path allocates nothing here.
   void drain_absorbed_into(std::vector<bus::Transaction*>& out) {
     out.clear();
     out.swap(absorbed_);

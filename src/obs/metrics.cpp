@@ -251,10 +251,4 @@ std::string metrics_to_csv(const MetricsRegistry& m, const MetricsMeta& meta) {
   return out;
 }
 
-std::string render_metrics(const MetricsRegistry& m, const MetricsMeta& meta,
-                           MetricsFormat format) {
-  return format == MetricsFormat::kJson ? metrics_to_json(m, meta)
-                                        : metrics_to_csv(m, meta);
-}
-
 }  // namespace syncpat::obs

@@ -126,8 +126,5 @@ enum class MetricsFormat : std::uint8_t { kJson, kCsv };
                                           const MetricsMeta& meta);
 [[nodiscard]] std::string metrics_to_csv(const MetricsRegistry& m,
                                          const MetricsMeta& meta);
-[[nodiscard]] std::string render_metrics(const MetricsRegistry& m,
-                                         const MetricsMeta& meta,
-                                         MetricsFormat format);
 
 }  // namespace syncpat::obs

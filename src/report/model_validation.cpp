@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/simulator.hpp"
+#include "core/experiment.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "model/predictor.hpp"
 #include "sync/scheme_factory.hpp"
 #include "util/format.hpp"
-#include "workload/generator.hpp"
 
 namespace syncpat::report {
 namespace {
@@ -91,18 +90,15 @@ ModelValidation validate_model(std::uint64_t master_seed,
     }
 
     // The case itself, simulated (DES, no instrumentation).
-    trace::ProgramTrace program = workload::make_program_trace(c.profile());
-    core::Simulator sim(c.machine_config(), program);
-    const core::SimulationResult r = sim.run();
+    const core::SimulationResult r =
+        core::run_experiment(c.machine_config(), c.profile()).sim;
 
     // P = 1 calibration: the same per-processor load, alone on the machine.
     workload::BenchmarkProfile solo = c.profile();
     solo.num_procs = 1;
-    core::MachineConfig solo_cfg = c.machine_config();
-    solo_cfg.num_procs = 1;
-    trace::ProgramTrace solo_program = workload::make_program_trace(solo);
-    core::Simulator solo_sim(solo_cfg, solo_program);
-    const core::SimulationResult r1 = solo_sim.run();
+    const core::ExperimentOutcome solo_run =
+        core::run_experiment(c.machine_config(), solo);
+    const core::SimulationResult& r1 = solo_run.sim;
 
     model::Calibration calib;
     calib.run_cycles = r1.run_time;
@@ -112,7 +108,7 @@ ModelValidation validate_model(std::uint64_t master_seed,
         r1.bus_utilization * static_cast<double>(r1.run_time);
     if (r1.locks.acquisitions > 0) {
       std::uint64_t hottest = 0;
-      for (const auto& [line, agg] : solo_sim.lock_stats().per_lock()) {
+      for (const auto& [line, agg] : solo_run.per_lock) {
         hottest = std::max(hottest, agg.acquisitions);
       }
       calib.dominant_fraction = static_cast<double>(hottest) /

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "bus/service_discipline.hpp"
+#include "cache/cache.hpp"
+#include "core/machine_config.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
 
@@ -344,26 +347,37 @@ TEST(ServiceDiscipline, NamesRoundTripStrictly) {
   }
 }
 
+// The CLI and the fuzz repro format read the other machine axes' spellings
+// through the same kind of strict table.
+TEST(MachineAxisNames, RoundTripStrictly) {
+  for (const ConsistencyModel m :
+       {ConsistencyModel::kSequential, ConsistencyModel::kWeak}) {
+    EXPECT_EQ(consistency_from_name(consistency_name(m)), m);
+  }
+  for (const cache::WritePolicy p :
+       {cache::WritePolicy::kWriteBack, cache::WritePolicy::kWriteThrough}) {
+    EXPECT_EQ(cache::write_policy_from_name(cache::write_policy_name(p)), p);
+  }
+  for (const core::EngineKind e :
+       {core::EngineKind::kDes, core::EngineKind::kTick}) {
+    EXPECT_EQ(core::engine_from_name(core::engine_name(e)), e);
+  }
+  for (const char* junk : {"", "Weak", "writeback", "fast", "des "}) {
+    EXPECT_THROW(static_cast<void>(consistency_from_name(junk)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(cache::write_policy_from_name(junk)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(core::engine_from_name(junk)),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Bus, TxnKindNames) {
   EXPECT_STREQ(txn_kind_name(TxnKind::kRead), "Read");
   EXPECT_STREQ(txn_kind_name(TxnKind::kReadX), "ReadX");
   EXPECT_STREQ(txn_kind_name(TxnKind::kUpgrade), "Upgrade");
   EXPECT_STREQ(txn_kind_name(TxnKind::kWriteBack), "WriteBack");
   EXPECT_STREQ(txn_kind_name(TxnKind::kHandoff), "Handoff");
-}
-
-TEST(Transaction, NeedsMemoryLogic) {
-  Transaction t;
-  t.kind = TxnKind::kRead;
-  EXPECT_TRUE(t.needs_memory());
-  t.supplied_by_cache = true;
-  EXPECT_FALSE(t.needs_memory());
-  t.kind = TxnKind::kUpgrade;
-  EXPECT_FALSE(t.needs_memory());
-  t.kind = TxnKind::kWriteBack;
-  EXPECT_TRUE(t.needs_memory());
-  t.kind = TxnKind::kHandoff;
-  EXPECT_FALSE(t.needs_memory());
 }
 
 TEST(Transaction, ExclusiveRequestKinds) {

@@ -1,10 +1,14 @@
 // Tests for the parallel experiment engine: grid expansion order, result
 // determinism across worker counts, equivalence with direct run_experiment
-// calls, and SYNCPAT_JOBS parsing.
+// calls, the worker cursor, and SYNCPAT_JOBS parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/experiment_engine.hpp"
@@ -110,7 +114,6 @@ TEST(ExperimentEngine, MatchesDirectRunExperiment) {
   ASSERT_EQ(result.size(), 1u);
   ASSERT_TRUE(result.results[0].ok());
   EXPECT_GT(result.results[0].wall_ms, 0.0);
-  EXPECT_GE(result.results[0].attempts, 1u);
 
   core::MachineConfig config;
   config.lock_scheme = sync::SchemeKind::kTicket;
@@ -123,16 +126,25 @@ TEST(ExperimentEngine, MatchesDirectRunExperiment) {
             direct.ideal.avg_refs_all());
 }
 
-TEST(ExperimentEngine, IdealOnlySkipsSimulation) {
-  ExperimentGrid grid;
-  grid.profiles = {workload::qsort_profile()};
-  grid.scales = {128};
-  grid.ideal_only = true;
-  const GridResult result = core::run_grid(grid);
-  ASSERT_EQ(result.size(), 1u);
-  ASSERT_TRUE(result.results[0].ok());
-  EXPECT_GT(result.results[0].outcome.ideal.avg_refs_all(), 0.0);
-  EXPECT_EQ(result.results[0].outcome.sim.run_time, 0u);
+// The cursor hands out every index exactly once, whatever the worker count,
+// and never starts more workers than there are indices.
+TEST(ExperimentEngine, ParallelForCallsEveryIndexOnce) {
+  for (const std::uint32_t jobs : {1u, 3u, 0u}) {
+    std::vector<std::atomic<int>> calls(50);
+    const std::uint32_t used = core::parallel_for(
+        calls.size(), jobs, [&calls](std::size_t i) { ++calls[i]; });
+    const std::uint32_t cores =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(used, std::min<std::uint32_t>(jobs != 0 ? jobs : cores, 50));
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "index " << i << ", jobs " << jobs;
+    }
+  }
+  EXPECT_EQ(core::parallel_for(2, 8, [](std::size_t) {}), 2u);
+  EXPECT_EQ(core::parallel_for(0, 8, [](std::size_t) {
+              ADD_FAILURE() << "called with no indices";
+            }),
+            1u);
 }
 
 TEST(ExperimentEngine, JobsFromEnvParsesAndRejects) {

@@ -6,6 +6,7 @@
 // hand-off) on both engines.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -158,6 +159,43 @@ TEST(Invariants, ChangedLinesAreCheckedAtTheEndOfTheirCycle) {
   expect_one({{a, E, S}}, "stale sharer");
   expect_one({{b, I, S}}, "holder directory lists 0 holders");
   EXPECT_EQ(sim.cache_of(0).state(b), I) << "the machine itself read line B";
+}
+
+// Two transactions holding one line's slot at once: the check re-derives
+// the pair from their phases and reports it once, in that cycle.
+TEST(Invariants, TwoTransactionsOnOneLineAreReported) {
+  const std::uint32_t a = testutil::shared_line(1);
+  trace::ProgramTrace program = testutil::make_program({{load(a)}, {load(a)}});
+  core::MachineConfig config = testutil::machine();
+  config.num_procs = 2;
+  core::Simulator sim(config, program);
+  core::InvariantChecker checker(false, 2);
+  bus::Transaction* first = sim.make_txn(bus::TxnKind::kRead, a, 0,
+                                         bus::StallCause::kCacheMiss, true);
+  bus::Transaction* second = sim.make_txn(bus::TxnKind::kReadX, a, 1,
+                                          bus::StallCause::kCacheMiss, true);
+  checker.on_cycle(sim);
+  ASSERT_EQ(checker.violation_count(), 0u) << "queued requests hold no slot";
+
+  first->phase = bus::TxnPhase::kOnBusReq;
+  second->phase = bus::TxnPhase::kOnBusReq;
+  checker.on_cycle(sim);
+  ASSERT_EQ(checker.violation_count(), 1u);
+  const std::string& message = checker.violations()[0];
+  char line[16];
+  std::snprintf(line, sizeof(line), "%x", a);
+  EXPECT_EQ(message.rfind("two transactions in flight for line 0x" +
+                              std::string(line) + " (ids ",
+                          0),
+            0u)
+      << message;
+  EXPECT_NE(message.find(std::to_string(first->id)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::to_string(second->id)), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("at cycle " + std::to_string(sim.now())),
+            std::string::npos)
+      << message;
 }
 
 // --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace syncpat::mem {
 namespace {
 
@@ -32,10 +34,12 @@ TEST(Memory, WritesAreAbsorbed) {
   mem.tick();
   mem.tick();
   EXPECT_EQ(mem.pending_response(), nullptr);
-  const auto absorbed = mem.drain_absorbed();
+  std::vector<bus::Transaction*> absorbed;
+  mem.drain_absorbed_into(absorbed);
   ASSERT_EQ(absorbed.size(), 1u);
   EXPECT_EQ(absorbed[0], &wb);
-  EXPECT_TRUE(mem.drain_absorbed().empty());  // drained once
+  mem.drain_absorbed_into(absorbed);
+  EXPECT_TRUE(absorbed.empty());  // drained once
 }
 
 TEST(Memory, InputBufferDepthTwo) {

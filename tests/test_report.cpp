@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/experiment_engine.hpp"
 #include "core/simulator.hpp"
 #include "report/paper_tables.hpp"
@@ -118,10 +119,10 @@ TEST(PaperTables, WeakTableComputesDifference) {
 }
 
 // The paper run selects every table's results from one 17-cell grid.  Its
-// tables must equal those rendered from the separate grids each table used
-// to run: ideal-only cells for Tables 1-2, T&T&S + queuing over the five
-// lock programs for Table 5, queuing x SC/WO over all six for Table 7, and a
-// standalone Grav simulation for Table 4's per-lock breakdown.
+// tables must equal those rendered the way each table used to run: a
+// standalone ideal pass per program for Tables 1-2, T&T&S + queuing over the
+// five lock programs for Table 5, queuing x SC/WO over all six for Table 7,
+// and a standalone Grav simulation for Table 4's per-lock breakdown.
 TEST(PaperRun, OneRunTablesMatchPerTableGrids) {
   constexpr std::uint64_t kScale = 256;
   core::EngineOptions options;
@@ -136,13 +137,9 @@ TEST(PaperRun, OneRunTablesMatchPerTableGrids) {
     EXPECT_NE(text.find(block), std::string::npos) << "missing:\n" << block;
   };
 
-  core::ExperimentGrid ideal;
-  ideal.profiles = workload::paper_profiles();
-  ideal.scales = {kScale};
-  ideal.ideal_only = true;
   std::vector<trace::IdealProgramStats> stats;
-  for (const core::CellResult& cell : core::run_grid(ideal, options).results) {
-    stats.push_back(cell.outcome.ideal);
+  for (const workload::BenchmarkProfile& p : workload::paper_profiles()) {
+    stats.push_back(core::run_ideal(p, kScale));
   }
   expect_block(table1_ideal(stats, kScale).render());
   expect_block(table2_ideal_locks(stats, kScale).render());

@@ -5,8 +5,14 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string>
 
+#include "core/experiment.hpp"
+#include "fuzz/render.hpp"
+#include "sync/scheme_factory.hpp"
 #include "test_util.hpp"
+#include "workload/generator.hpp"
+#include "workload/profiles.hpp"
 
 namespace syncpat::trace {
 namespace {
@@ -168,6 +174,32 @@ TEST(TraceIo, SourcesAreResetBeforeWriting) {
   write_program_trace(buf, program);  // must reset and write both events
   ProgramTrace back = read_program_trace(buf);
   EXPECT_EQ(collect(*back.per_proc[0]).size(), 2u);
+}
+
+// The CLI's trace-file path: run_experiment on a program read back from the
+// trace format simulates, and takes the same ideal statistics from, what
+// the profile it was written from does.
+TEST(TraceIo, LoadedProgramRunsLikeItsProfile) {
+  constexpr std::uint64_t kScale = 256;
+  const workload::BenchmarkProfile profile = workload::pdsa_profile();
+  ProgramTrace generated =
+      workload::make_program_trace(profile.scaled(kScale));
+  std::stringstream buf;
+  write_program_trace(buf, generated);
+  const std::string bytes = buf.str();
+  for (const sync::SchemeKind scheme :
+       {sync::SchemeKind::kQueuing, sync::SchemeKind::kTtas}) {
+    SCOPED_TRACE(sync::scheme_kind_name(scheme));
+    const core::MachineConfig config = testutil::machine(scheme);
+    std::istringstream in(bytes);
+    const core::ExperimentOutcome loaded =
+        core::run_experiment(config, read_program_trace(in));
+    const core::ExperimentOutcome direct =
+        core::run_experiment(config, profile, kScale);
+    EXPECT_EQ(fuzz::render_result(loaded.sim),
+              fuzz::render_result(direct.sim));
+    testutil::expect_same_ideal(loaded.ideal, direct.ideal);
+  }
 }
 
 }  // namespace
