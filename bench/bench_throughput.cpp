@@ -32,7 +32,6 @@
 
 #include "bench_common.hpp"
 #include "core/simulator.hpp"
-#include "obs/self_profile.hpp"
 #include "trace/source.hpp"
 #include "util/write_file.hpp"
 #include "workload/generator.hpp"
@@ -50,9 +49,6 @@ struct Cell {
   double best_wall_ms = 0.0;
   double cycles_per_sec = 0.0;
   core::DesStats des;  // populated on des rows
-  // Engine phase breakdown from one extra self-profiled rep (kept out of the
-  // timed reps so timestamp reads never pollute best_wall_ms).
-  obs::SelfProfiler::Snapshot prof;
 };
 
 double now_ms() {
@@ -99,22 +95,6 @@ Cell run_cell(const workload::BenchmarkProfile& scaled,
   }
   cell.cycles_per_sec =
       static_cast<double>(cell.run_cycles) / (cell.best_wall_ms / 1000.0);
-  // One extra rep with the self-profiler attached for the phase breakdown.
-  // Attaching must not change the simulation: assert the final cycle matches.
-  {
-    program.reset_all();
-    core::Simulator sim(cfg, program);
-    obs::SelfProfiler profiler;
-    sim.set_self_profiler(&profiler);
-    const core::SimulationResult res = sim.run();
-    if (res.run_time != cell.run_cycles) {
-      std::cerr << "FATAL: self-profiler changed " << cell.program << "/"
-                << cell.consistency << " run time: " << res.run_time << " vs "
-                << cell.run_cycles << "\n";
-      std::exit(1);
-    }
-    cell.prof = profiler.snapshot();
-  }
   return cell;
 }
 
@@ -136,25 +116,15 @@ void emit_json(std::ostream& out, std::uint64_t scale, std::uint32_t reps,
         "\"engine\": \"%s\", \"run_cycles\": %llu, "
         "\"best_wall_ms\": %.1f, \"cycles_per_sec\": %.4g, "
         "\"des_stepped_cycles\": %llu, \"des_spans\": %llu, "
-        "\"des_span_cycles\": %llu, ",
+        "\"des_span_cycles\": %llu}%s\n",
         c.program.c_str(), c.consistency, core::engine_name(c.engine),
         static_cast<unsigned long long>(c.run_cycles), c.best_wall_ms,
         c.cycles_per_sec,
         static_cast<unsigned long long>(c.des.stepped_cycles),
         static_cast<unsigned long long>(c.des.spans),
-        static_cast<unsigned long long>(c.des.span_cycles));
+        static_cast<unsigned long long>(c.des.span_cycles),
+        i + 1 < cells.size() ? "," : "");
     out << buf;
-    // Phase breakdown from the extra self-profiled rep (its own wall time,
-    // not best_wall_ms; the profiled rep is never the timed one).
-    out << "\"phases_ms\": {";
-    for (std::size_t p = 0; p < obs::SelfProfiler::kNumPhases; ++p) {
-      std::snprintf(buf, sizeof buf, "%s\"%s\": %.2f", p > 0 ? ", " : "",
-                    obs::SelfProfiler::phase_name(
-                        static_cast<obs::SelfProfiler::Phase>(p)),
-                    static_cast<double>(c.prof.ns[p]) / 1e6);
-      out << buf;
-    }
-    out << "}}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"speedup_des_vs_tick\": {\n";
   for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {

@@ -99,9 +99,9 @@ using namespace syncpat;
 
 struct Options {
   std::string program = "Grav";
-  std::string scheme = "queuing";
-  std::string consistency = "sequential";
-  std::string write_policy = "write-back";
+  sync::SchemeKind scheme = sync::SchemeKind::kQueuing;
+  bus::ConsistencyModel consistency = bus::ConsistencyModel::kSequential;
+  cache::WritePolicy write_policy = cache::WritePolicy::kWriteBack;
   std::uint64_t scale = 8;
   std::uint32_t procs = 0;
   std::uint32_t buffer = 4;
@@ -144,6 +144,20 @@ std::uint32_t numeric32(const std::string& flag, const std::string& text) {
   }
 }
 
+/// Enum flags: `from_name` is the strict spelling parser; a value it rejects
+/// exits 2 with the flag's valid spellings.
+template <typename Kind>
+Kind named(const std::string& flag, const std::string& text,
+           Kind (*from_name)(const std::string&), const char* spellings) {
+  try {
+    return from_name(text);
+  } catch (const std::invalid_argument&) {
+    std::cerr << "error: " << flag << " expects " << spellings << ", got \""
+              << text << "\"\n";
+    std::exit(2);
+  }
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -153,9 +167,17 @@ Options parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--program") opt.program = value();
-    else if (arg == "--scheme") opt.scheme = value();
-    else if (arg == "--consistency") opt.consistency = value();
-    else if (arg == "--write-policy") opt.write_policy = value();
+    else if (arg == "--scheme")
+      opt.scheme = named(arg, value(), &sync::scheme_kind_from_name,
+                         "\"queuing\", \"queuing-exact\", \"ttas\", \"tas\", "
+                         "\"tas-backoff\", \"ticket\", \"anderson\", \"mcs\" "
+                         "or \"clh\"");
+    else if (arg == "--consistency")
+      opt.consistency = named(arg, value(), &bus::consistency_from_name,
+                              "\"sequential\" or \"weak\"");
+    else if (arg == "--write-policy")
+      opt.write_policy = named(arg, value(), &cache::write_policy_from_name,
+                               "\"write-back\" or \"write-through\"");
     // Numeric flags share util::parse_*: a junk value ("--procs foo") is an
     // error, never a silent 0 (the SYNCPAT_SCALE policy).
     else if (arg == "--scale") opt.scale = numeric(arg, value());
@@ -172,27 +194,13 @@ Options parse(int argc, char** argv) {
     }
     else if (arg == "--buffer") opt.buffer = numeric32(arg, value());
     else if (arg == "--mem-cycles") opt.mem_cycles = numeric32(arg, value());
-    else if (arg == "--bus-discipline") {
-      const std::string name = value();
-      try {
-        opt.bus_discipline = bus::discipline_from_name(name);
-      } catch (const std::invalid_argument&) {
-        std::cerr << "error: --bus-discipline expects \"round-robin\", "
-                     "\"fixed-priority\" or \"fcfs\", got \""
-                  << name << "\"\n";
-        std::exit(2);
-      }
-    }
-    else if (arg == "--model") {
-      const std::string name = value();
-      try {
-        opt.model = core::mem_model_from_name(name);
-      } catch (const std::invalid_argument&) {
-        std::cerr << "error: --model expects \"bus\" or \"dsm\", got \""
-                  << name << "\"\n";
-        std::exit(2);
-      }
-    }
+    else if (arg == "--bus-discipline")
+      opt.bus_discipline =
+          named(arg, value(), &bus::discipline_from_name,
+                "\"round-robin\", \"fixed-priority\" or \"fcfs\"");
+    else if (arg == "--model")
+      opt.model = named(arg, value(), &core::mem_model_from_name,
+                        "\"bus\" or \"dsm\"");
     else if (arg == "--dsm-nodes") opt.dsm_nodes = numeric32(arg, value());
     else if (arg == "--dsm-remote-cycles")
       opt.dsm_remote_cycles = numeric32(arg, value());
@@ -206,16 +214,9 @@ Options parse(int argc, char** argv) {
       }
     }
     else if (arg == "--check-invariants") opt.check_invariants = true;
-    else if (arg == "--engine") {
-      const std::string name = value();
-      try {
-        opt.engine = core::engine_from_name(name);
-      } catch (const std::invalid_argument&) {
-        std::cerr << "error: --engine expects \"des\" or \"tick\", got \""
-                  << name << "\"\n";
-        std::exit(2);
-      }
-    }
+    else if (arg == "--engine")
+      opt.engine = named(arg, value(), &core::engine_from_name,
+                         "\"des\" or \"tick\"");
     else if (arg == "--trace-out") opt.trace_out = value();
     else if (arg == "--trace-events") {
       try {
@@ -287,7 +288,7 @@ int run_sweep(const Options& opt, const core::MachineConfig& base) {
     if (profile.name == opt.program) found = &profile;
   }
   if (found == nullptr) {
-    std::cerr << "--sweep needs a benchmark profile name "
+    std::cerr << "error: --sweep needs a benchmark profile name "
                  "(Grav|Pdsa|FullConn|Pverify|Qsort|Topopt), not a trace "
                  "file\n";
     return 2;
@@ -366,24 +367,9 @@ int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
 
   core::MachineConfig config;
-  try {
-    config.lock_scheme = sync::scheme_kind_from_name(opt.scheme);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
-  try {
-    config.consistency = bus::consistency_from_name(opt.consistency);
-  } catch (const std::invalid_argument&) {
-    std::cerr << "unknown consistency model: " << opt.consistency << "\n";
-    return 1;
-  }
-  try {
-    config.write_policy = cache::write_policy_from_name(opt.write_policy);
-  } catch (const std::invalid_argument&) {
-    std::cerr << "unknown write policy: " << opt.write_policy << "\n";
-    return 1;
-  }
+  config.lock_scheme = opt.scheme;
+  config.consistency = opt.consistency;
+  config.write_policy = opt.write_policy;
   config.cache_bus_buffer_depth = opt.buffer;
   config.memory.access_cycles = opt.mem_cycles;
   config.bus_discipline = opt.bus_discipline;
@@ -436,7 +422,8 @@ int main(int argc, char** argv) {
   const trace::IdealProgramStats& ideal = outcome.ideal;
 
   report::Table t("syncpat: " + r.program + " on " + r.scheme + "/" +
-                  r.consistency + "/" + opt.write_policy);
+                  r.consistency + "/" +
+                  cache::write_policy_name(opt.write_policy));
   t.columns({"Metric", "Value"});
   t.add_row({"processors", std::to_string(r.num_procs)});
   t.add_row({"run-time (cycles)", util::with_commas(r.run_time)});

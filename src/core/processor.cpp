@@ -292,12 +292,7 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
     if (cls == AccessClass::kWrite && inflight->kind == TxnKind::kReadX) {
       return IssueResult::kAdvance;  // the store coalesces into the fill
     }
-    inflight->requester_waiting = true;
-    wait_txn_ = inflight;
-    wait_mode_ = WaitMode::kRefRetry;
-    wait_cause_ = StallCause::kCacheMiss;
-    state_ = ProcState::kWaitMem;
-    note_wait_entered();
+    wait_for(inflight, WaitMode::kRefRetry, StallCause::kCacheMiss);
     return IssueResult::kStalled;
   }
 
@@ -318,12 +313,7 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
                       /*fills_line=*/false);
     pending_.push_back(txn);
     if (!weak) {
-      txn->requester_waiting = true;
-      wait_txn_ = txn;
-      wait_mode_ = WaitMode::kRefSatisfied;
-      wait_cause_ = StallCause::kCacheMiss;
-      state_ = ProcState::kWaitMem;
-      note_wait_entered();
+      wait_for(txn, WaitMode::kRefSatisfied, StallCause::kCacheMiss);
       return IssueResult::kStalled;
     }
     return IssueResult::kAdvance;
@@ -342,12 +332,7 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
                       StallCause::kCacheMiss, /*fills_line=*/false);
     pending_.push_back(txn);
     if (!weak) {
-      txn->requester_waiting = true;
-      wait_txn_ = txn;
-      wait_mode_ = WaitMode::kRefSatisfied;
-      wait_cause_ = StallCause::kCacheMiss;
-      state_ = ProcState::kWaitMem;
-      note_wait_entered();
+      wait_for(txn, WaitMode::kRefSatisfied, StallCause::kCacheMiss);
       return IssueResult::kStalled;
     }
     return IssueResult::kAdvance;
@@ -381,12 +366,7 @@ Processor::IssueResult Processor::issue_mem_ref(const Event& e) {
   if (lost_lines_.erase(line) > 0) txn->coherence_refill = true;
   pending_.push_back(txn);
   if (stalls) {
-    txn->requester_waiting = true;
-    wait_txn_ = txn;
-    wait_mode_ = WaitMode::kRefSatisfied;
-    wait_cause_ = StallCause::kCacheMiss;
-    state_ = ProcState::kWaitMem;
-    note_wait_entered();
+    wait_for(txn, WaitMode::kRefSatisfied, StallCause::kCacheMiss);
     return IssueResult::kStalled;
   }
   return IssueResult::kAdvance;
@@ -410,15 +390,20 @@ void Processor::on_txn_complete(Transaction* txn) {
   }
 }
 
+void Processor::wait_for(Transaction* txn, WaitMode mode, StallCause cause) {
+  txn->requester_waiting = true;
+  wait_txn_ = txn;
+  wait_mode_ = mode;
+  wait_cause_ = cause;
+  state_ = ProcState::kWaitMem;
+  note_wait_entered();
+}
+
 void Processor::stall_on_txn(Transaction* txn) {
   SYNCPAT_ASSERT(state_ == ProcState::kRunning || state_ == ProcState::kSpin ||
                  state_ == ProcState::kWaitLock ||
                  state_ == ProcState::kWaitMem);
-  wait_txn_ = txn;
-  wait_mode_ = WaitMode::kLockStep;
-  wait_cause_ = txn->stall_cause;
-  state_ = ProcState::kWaitMem;
-  note_wait_entered();
+  wait_for(txn, WaitMode::kLockStep, txn->stall_cause);
 }
 
 void Processor::enter_lock_wait(bool spinning, bool barrier) {

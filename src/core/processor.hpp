@@ -166,6 +166,10 @@ class Processor {
   IssueResult try_issue(const trace::Event& e);
   IssueResult issue_mem_ref(const trace::Event& e);
   IssueResult issue_lock_op(const trace::Event& e);
+  /// Stalls in kWaitMem until `txn` completes: marks its requester waiting,
+  /// records how on_txn_complete() resumes (`mode`) and which paper column
+  /// the stall counts in (`cause`).
+  void wait_for(bus::Transaction* txn, WaitMode mode, bus::StallCause cause);
   void advance_after_event();
   /// Moves pending transactions into the interface buffer; true when empty.
   bool drain_pending();

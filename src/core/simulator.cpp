@@ -112,26 +112,8 @@ SimulationResult Simulator::run() {
     self_prof_->charge(obs::SelfProfiler::Phase::kEventLoop,
                        obs::SelfProfiler::now_ns() - loop_t0);
   }
-  if (checker_) {
-    if (self_prof_ != nullptr) {
-      const std::int64_t t0 = obs::SelfProfiler::now_ns();
-      checker_->on_run_end(*this);
-      self_prof_->charge(obs::SelfProfiler::Phase::kInvariantCheck,
-                         obs::SelfProfiler::now_ns() - t0);
-    } else {
-      checker_->on_run_end(*this);
-    }
-  }
-  if (recorder_) {
-    if (self_prof_ != nullptr) {
-      const std::int64_t t0 = obs::SelfProfiler::now_ns();
-      recorder_->flush();
-      self_prof_->charge(obs::SelfProfiler::Phase::kTraceEmit,
-                         obs::SelfProfiler::now_ns() - t0);
-    } else {
-      recorder_->flush();
-    }
-  }
+  if (checker_) checker_->on_run_end(*this);
+  if (recorder_) recorder_->flush();
   if (metrics_) finalize_metrics();
   return collect_results();
 }
@@ -219,28 +201,13 @@ void Simulator::step() {
   arbitrate();
   if (Transaction* done = bus_.tick()) complete_bus(done);
 
-  if (checker_) check_invariants();
-  // The watchdog scan walks every processor; a periodic check keeps the
-  // 500k-cycle deadlock diagnostic while taking it off the per-cycle path.
-  if ((cycle_ & (kProgressCheckPeriod - 1)) == 0) check_progress();
+  if (checker_) checker_->on_cycle(*this);
+  check_progress();
 }
 
-void Simulator::check_invariants() {
-  if (self_prof_ == nullptr) {
-    checker_->on_cycle(*this);
-    return;
-  }
-  // Nested phase: run() times the whole engine loop as the event loop, so
-  // move the checker's share into its own bucket (the compensating entry
-  // adds no call count).
-  const std::int64_t t0 = obs::SelfProfiler::now_ns();
-  checker_->on_cycle(*this);
-  const std::int64_t dt = obs::SelfProfiler::now_ns() - t0;
-  self_prof_->charge(obs::SelfProfiler::Phase::kInvariantCheck, dt);
-  self_prof_->charge(obs::SelfProfiler::Phase::kEventLoop, -dt, 0);
-}
-
-void Simulator::check_progress() {
+void Simulator::scan_progress() {
+  next_progress_check_ =
+      (cycle_ & ~(kProgressCheckPeriod - 1)) + kProgressCheckPeriod;
   std::uint64_t marker = next_txn_id_;
   for (const auto& p : procs_) {
     marker += p->stats().work_cycles + p->stats().completion_cycle;
@@ -439,16 +406,8 @@ void Simulator::step_des() {
   // The caches, the holder directory and active_ — all the checker reads —
   // change only on event cycles, so checking here sees every state
   // per-cycle checks see.
-  if (checker_) check_invariants();
-
-  // Watchdog: the tick loop checks on exact kProgressCheckPeriod multiples;
-  // event cycles rarely land on one, so check at the first event cycle at or
-  // past each boundary (the 500k-cycle deadlock threshold is unchanged).
-  if (cycle_ >= des_next_progress_check_) {
-    check_progress();
-    des_next_progress_check_ =
-        (cycle_ & ~(kProgressCheckPeriod - 1)) + kProgressCheckPeriod;
-  }
+  if (checker_) checker_->on_cycle(*this);
+  check_progress();
 }
 
 void Simulator::run_des() {
@@ -940,7 +899,6 @@ void Simulator::issue_lock_txn(std::uint32_t proc, std::uint32_t line_addr,
                               cause, /*fills_line=*/false, /*lock_op=*/true);
   txn->lock_step = step;
   if (stalls) {
-    txn->requester_waiting = true;
     spin_line_[proc] = 0;  // leaving any spin
     procs_[proc]->stall_on_txn(txn);
   }

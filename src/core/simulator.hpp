@@ -167,7 +167,8 @@ class Simulator final : public sync::SchemeServices {
     return metrics_;
   }
   /// Attaches a host-side wall-clock profiler; run() then times its engine
-  /// phases.  Observes the host only — simulated results are unchanged.
+  /// loop (not the checker's run-end sweep or the final trace flush).
+  /// Observes the host only — simulated results are unchanged.
   void set_self_profiler(obs::SelfProfiler* profiler) {
     self_prof_ = profiler;
   }
@@ -200,11 +201,14 @@ class Simulator final : public sync::SchemeServices {
   /// gauge and the bus trace.  Called after each Bus::occupy while
   /// observe_bus_ is set.
   void on_bus_tenure(const bus::Transaction& txn, std::uint32_t cycles);
-  void check_progress();
-  /// End-of-cycle invariant checks, shared by step() and step_des().  With a
-  /// profiler attached, the checker's time moves out of the engine loop's
-  /// bucket into its own.
-  void check_invariants();
+  /// Progress watchdog, called at the end of every cycle by both engines:
+  /// the scan walks every processor, so it runs only at the first cycle at
+  /// or past each kProgressCheckPeriod boundary (on the tick loop, the
+  /// boundary itself; on DES, the first event cycle there).
+  void check_progress() {
+    if (cycle_ >= next_progress_check_) scan_progress();
+  }
+  void scan_progress();
 
   // --- discrete-event core (see run_des()) ---------------------------------
   /// Phases 1-2b of step(): deferred fills, memory, backoff timers.  Shared
@@ -335,7 +339,6 @@ class Simulator final : public sync::SchemeServices {
   std::uint32_t des_words_ = 0;
   std::vector<std::uint64_t> des_due_now_;  // must tick this event cycle
   std::vector<std::uint64_t> des_dirty_;    // re-schedule at end of cycle
-  std::uint64_t des_next_progress_check_ = kProgressCheckPeriod;
   // Scratch buffers reused every cycle so step() never heap-allocates.
   std::vector<bus::Transaction*> fill_retry_scratch_;
   std::vector<bus::Transaction*> absorbed_scratch_;
@@ -364,6 +367,7 @@ class Simulator final : public sync::SchemeServices {
   // every cycle; the 500k-cycle deadlock threshold is unchanged, so
   // diagnosis moves by at most one period.
   static constexpr std::uint64_t kProgressCheckPeriod = 1024;  // power of two
+  std::uint64_t next_progress_check_ = kProgressCheckPeriod;
   std::uint64_t last_progress_cycle_ = 0;
   std::uint64_t progress_marker_ = 0;
 

@@ -52,18 +52,6 @@ std::uint32_t parse_categories(const std::string& list) {
   return mask;
 }
 
-std::string categories_to_string(std::uint32_t mask) {
-  if (mask == category::kAll) return "all";
-  std::string out;
-  for (const NamedCategory& c : kNamed) {
-    if (c.mask == category::kAll) continue;
-    if ((mask & c.mask) == 0) continue;
-    if (!out.empty()) out += ',';
-    out += c.name;
-  }
-  return out;
-}
-
 const char* event_kind_name(EventKind k) {
   switch (k) {
     case EventKind::kAcquireBegin: return "acquire-begin";

@@ -1,16 +1,15 @@
 // Event recorder: the single choke point every instrumentation site feeds.
 //
-// Events are staged in a fixed-capacity ring (util::RingBuffer, the same
-// structure as the hardware queues) and drained to the registered sinks in
-// batches, so the steady-state emit path is a bounds check and a slot store.
-// Nothing is ever dropped: a full ring drains synchronously.  Sinks are
-// non-owning and must outlive the recorder's last flush().
+// Events are staged in one batch, reserved once, and handed to the
+// registered sinks in emission order when the batch is full and at flush(),
+// so the steady-state emit path is a size check and a store.  Nothing is ever
+// dropped.  Sinks are non-owning and must outlive the recorder's last flush().
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "obs/trace_event.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace syncpat::obs {
 
@@ -18,51 +17,43 @@ class TraceSink {
  public:
   virtual ~TraceSink();
   virtual void on_event(const TraceEvent& event) = 0;
-  /// End of run: the recorder has drained every staged event.
-  virtual void on_flush() {}
 };
 
 class EventRecorder {
  public:
+  /// Events staged before the batch is handed to the sinks.
+  static constexpr std::size_t kBatchEvents = 4096;
+
   explicit EventRecorder(const TraceConfig& config)
-      : categories_(config.categories),
-        ring_(config.ring_capacity > 0 ? config.ring_capacity : 1) {}
+      : categories_(config.categories) {
+    batch_.reserve(kBatchEvents);
+  }
 
   /// Category filter, checked by the instrumentation sites before building
   /// an event at all.
   [[nodiscard]] bool wants(std::uint32_t cat) const {
     return (categories_ & cat) != 0;
   }
-  [[nodiscard]] std::uint32_t categories() const { return categories_; }
 
   void add_sink(TraceSink* sink) { sinks_.push_back(sink); }
 
   void emit(const TraceEvent& event) {
-    if (ring_.full()) drain();
-    ring_.push_back(event);
-    ++emitted_;
+    if (batch_.size() == kBatchEvents) flush();
+    batch_.push_back(event);
   }
 
-  /// Drains the ring and notifies every sink that the run is over.
+  /// Hands every staged event to the sinks, in emission order.
   void flush() {
-    drain();
-    for (TraceSink* sink : sinks_) sink->on_flush();
-  }
-
-  [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
-
- private:
-  void drain() {
-    while (!ring_.empty()) {
-      const TraceEvent event = ring_.pop_front();
+    for (const TraceEvent& event : batch_) {
       for (TraceSink* sink : sinks_) sink->on_event(event);
     }
+    batch_.clear();
   }
 
+ private:
   std::uint32_t categories_;
-  util::RingBuffer<TraceEvent> ring_;
+  std::vector<TraceEvent> batch_;
   std::vector<TraceSink*> sinks_;
-  std::uint64_t emitted_ = 0;
 };
 
 }  // namespace syncpat::obs

@@ -41,7 +41,6 @@ class LockTimelineSink final : public TraceSink {
  public:
   void on_event(const TraceEvent& event) override;
 
-  [[nodiscard]] const LockTimeline& timeline() const { return timeline_; }
   /// Moves the timeline out, stamping the run length (used by the phase
   /// windows of the report).
   [[nodiscard]] LockTimeline take(std::uint64_t run_cycles);

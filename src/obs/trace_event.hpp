@@ -27,9 +27,6 @@ inline constexpr std::uint32_t kAll = kLocks | kBus | kCoherence | kBarriers;
 /// std::invalid_argument on an unknown token or an empty list.
 [[nodiscard]] std::uint32_t parse_categories(const std::string& list);
 
-/// Renders a mask back to the canonical comma-separated spelling.
-[[nodiscard]] std::string categories_to_string(std::uint32_t mask);
-
 enum class EventKind : std::uint8_t {
   // locks
   kAcquireBegin,     // proc starts an acquire attempt on `line`
@@ -68,9 +65,6 @@ struct TraceEvent {
 struct TraceConfig {
   bool enabled = false;
   std::uint32_t categories = category::kAll;
-  /// Staging-ring capacity; the ring drains to the sinks when full, so this
-  /// only bounds batching, never drops events.
-  std::uint32_t ring_capacity = 4096;
 };
 
 }  // namespace syncpat::obs
