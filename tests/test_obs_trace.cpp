@@ -422,21 +422,12 @@ std::string golden_trace_document(const GoldenTraceCell& cell,
   return document;
 }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 /// "<label> <bytes> <hash>", one golden-file line.
 std::string golden_trace_line(const std::string& label,
                               const std::string& document) {
   char hash[24];
   std::snprintf(hash, sizeof hash, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(document)));
+                static_cast<unsigned long long>(testutil::fnv1a64(document)));
   return label + " " + std::to_string(document.size()) + " " + hash;
 }
 

@@ -122,6 +122,16 @@ inline workload::BenchmarkProfile scale_study(std::uint32_t procs,
   return p;
 }
 
+/// FNV-1a 64 hash of `bytes`: the digest the golden files pin.
+inline std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 /// A directory owned by the running test, "<TempDir>/<suite>.<test>",
 /// created on first use.  ctest runs tests in parallel, so a fixed file name
 /// directly under ::testing::TempDir() is shared by every test that writes
