@@ -47,9 +47,9 @@ Simulator::Simulator(const MachineConfig& config, trace::ProgramTrace& program)
       des_due_(static_cast<std::uint32_t>(program.num_procs())) {
   SYNCPAT_ASSERT(program.num_procs() > 0);
   discipline_ = bus::make_discipline(cfg_.bus_discipline, bus_.config().ports);
+  stamp_order_ = discipline_->stamp_order();
   ready_.assign(util::bit_words(bus_.config().ports), 0);
   memory_free_.assign(ready_.size(), 0);
-  arb_req_.resize(bus_.config().ports);
   SYNCPAT_ASSERT(cfg_.dsm.nodes > 0);
   dsm_procs_per_node_ =
       (static_cast<std::uint32_t>(program.num_procs()) + cfg_.dsm.nodes - 1) /
@@ -161,6 +161,7 @@ void Simulator::pre_proc_phases() {
     // (the data is driven onto the bus the cycle after it leaves the
     // module, preserving the paper's 6-cycle uncontended miss).
     response->issued_cycle = cycle_;
+    memory_head_changed(response);
   }
   memory_.drain_absorbed_into(absorbed_scratch_);
   for (Transaction* absorbed : absorbed_scratch_) {
@@ -506,40 +507,23 @@ void Simulator::retire(Transaction* txn) {
 
 void Simulator::arbitrate() {
   if (!bus_.free()) return;
-  const auto memory_port = static_cast<std::uint32_t>(procs_.size());
-  Transaction* response = memory_.pending_response();
-  if (ready_ifaces_ == 0 && response == nullptr) return;
-  for (std::uint64_t* set : {ready_.data(), memory_free_.data()}) {
-    response != nullptr ? util::set_bit(set, memory_port)
-                        : util::clear_bit(set, memory_port);
-  }
-  if (discipline_->needs_stamps()) {
-    // Stamp-aware disciplines (FCFS ordering, fixed-priority aging) rank
-    // ports by when each head request reached the bus queue.  Same-cycle
-    // issues are not grant-eligible yet (the arbiter never grants a request
-    // the cycle it was issued), so they rank as absent.
-    util::visit_set_bits(ready_.data(), 0, memory_port, [&](std::uint32_t p) {
-      const std::uint64_t stamp = ifaces_[p]->head()->issued_cycle;
-      arb_req_[p] = bus::ArbRequest{stamp != cycle_, stamp};
-      return false;
-    });
-    if (response != nullptr) {
-      arb_req_[memory_port] = bus::ArbRequest{
-          response->issued_cycle != cycle_, response->issued_cycle};
-    }
-  }
+  if (ready_ifaces_ == 0 && memory_.pending_response() == nullptr) return;
+  ++arb_stats_.rounds;
   // With memory's input buffer full, try_grant refuses every read,
   // read-exclusive, write-back and write-through without side effects, so
   // only the other ports are offered.
-  const std::uint64_t* grantable =
-      memory_.input_full() ? memory_free_.data() : ready_.data();
-  discipline_->offer(ready_.data(), grantable, arb_req_.data(), cycle_,
-                     &Simulator::grant_port, this);
+  discipline_->offer(
+      memory_.input_full() ? memory_free_.data() : ready_.data(), cycle_,
+      &Simulator::grant_port, this);
 }
 
 bool Simulator::grant_port(void* ctx, std::uint32_t port) {
   auto& sim = *static_cast<Simulator*>(ctx);
-  return port == sim.procs_.size() ? sim.grant_response() : sim.try_grant(port);
+  const bool granted =
+      port == sim.procs_.size() ? sim.grant_response() : sim.try_grant(port);
+  ++sim.arb_stats_.offers;
+  if (!granted) ++sim.arb_stats_.refusals;
+  return granted;
 }
 
 bool Simulator::grant_response() {
@@ -549,12 +533,24 @@ bool Simulator::grant_response() {
     des_touch(static_cast<std::uint32_t>(response->requester));
   }
   memory_.pop_response();
+  memory_head_changed(nullptr);
   response->phase = TxnPhase::kOnBusResp;
   discipline_->record_grant(static_cast<std::uint32_t>(procs_.size()),
                             cycle_ - response->issued_cycle, true);
   bus_.occupy(response, bus_.config().data_cycles);
   if (observe_bus_) on_bus_tenure(*response, bus_.config().data_cycles);
   return true;
+}
+
+void Simulator::memory_head_changed(const Transaction* response) {
+  const auto port = static_cast<std::uint32_t>(procs_.size());
+  for (std::uint64_t* set : {ready_.data(), memory_free_.data()}) {
+    response != nullptr ? util::set_bit(set, port) : util::clear_bit(set, port);
+  }
+  if (stamp_order_ != nullptr) {
+    response != nullptr ? stamp_order_->set(port, response->issued_cycle)
+                        : stamp_order_->erase(port);
+  }
 }
 
 bool Simulator::try_grant(std::uint32_t port) {
@@ -1012,6 +1008,12 @@ void Simulator::iface_queue_hook(void* ctx, const bus::BusInterface& iface,
                       head->kind == TxnKind::kHandoff)
       ? util::set_bit(sim.memory_free_.data(), port)
       : util::clear_bit(sim.memory_free_.data(), port);
+  // A head's stamp never changes while it is queued, so setting an unchanged
+  // head again is a no-op.
+  if (sim.stamp_order_ != nullptr) {
+    head != nullptr ? sim.stamp_order_->set(port, head->issued_cycle)
+                    : sim.stamp_order_->erase(port);
+  }
   if (txn.kind == TxnKind::kWriteBack) {
     entered ? sim.holders_.add_writeback(txn.line_addr)
             : sim.holders_.remove_writeback(txn.line_addr);

@@ -5,7 +5,7 @@
 //   1. deferred completions (fills that waited for a cache way);
 //   2. memory module tick;
 //   3. processor ticks (work, issue, stall accounting);
-//   4. bus arbitration (round-robin; snoop happens at grant);
+//   4. bus arbitration (the service discipline; snoop happens at grant);
 //   5. bus advance; transaction completions (fills, wake-ups, lock steps).
 //
 // Coherence ordering: at most one transaction per line is in flight at any
@@ -57,6 +57,16 @@ struct SnoopStats {
   std::uint64_t writeback_fallbacks = 0;  // snoops that visited everyone
 };
 
+/// Host work of arbitrate() (diagnostic, like DesStats; both engines count
+/// the same).  A round is one ServiceDiscipline::offer call; each port it
+/// hands to the arbiter is an offer, and an offer the port cannot take (line
+/// in flight, memory input full, a request issued this cycle) is a refusal.
+struct ArbitrationStats {
+  std::uint64_t rounds = 0;    // arbitration rounds that reached offer()
+  std::uint64_t offers = 0;    // ports offered over those rounds
+  std::uint64_t refusals = 0;  // offers that did not win the bus
+};
+
 class Simulator final : public sync::SchemeServices {
  public:
   /// The program trace must outlive the simulator; sources are reset on
@@ -79,6 +89,9 @@ class Simulator final : public sync::SchemeServices {
 
   [[nodiscard]] const DesStats& des_stats() const { return des_stats_; }
   [[nodiscard]] const SnoopStats& snoop_stats() const { return snoop_stats_; }
+  [[nodiscard]] const ArbitrationStats& arbitration_stats() const {
+    return arb_stats_;
+  }
   /// The engine run() will use.
   [[nodiscard]] EngineKind engine() const { return cfg_.engine; }
 
@@ -183,6 +196,10 @@ class Simulator final : public sync::SchemeServices {
   /// (the memory port) or try_grant().
   static bool grant_port(void* ctx, std::uint32_t port);
   bool grant_response();
+  /// The memory port's head changed: `response` is the stamped response now
+  /// at the output-buffer front (phase 2 stamps it), or null once
+  /// grant_response() popped it (the next one waits for its stamp).
+  void memory_head_changed(const bus::Transaction* response);
   /// Grants the head request at `port` if it is serviceable now.  A refusal
   /// touches nothing: no settle, no state change (except marking a promoted
   /// upgrade's coherence refill, which settles its requester first).
@@ -253,10 +270,14 @@ class Simulator final : public sync::SchemeServices {
   std::vector<std::unique_ptr<Processor>> procs_;
   bus::Bus bus_;
   std::unique_ptr<bus::ServiceDiscipline> discipline_;
+  // discipline_'s order of the ports holding a request, kept wherever ready_
+  // is; null for round-robin, which ranks without stamps.
+  bus::StampOrder* stamp_order_ = nullptr;
+  ArbitrationStats arb_stats_;
   // Ports with a request, as a bitmask over [0, P] (util/bits.hpp): bit p is
   // kept equal to "interface p is non-empty" by the interfaces' queue hook;
-  // bit P, the memory response port, is set per round.  ready_ifaces_ counts
-  // the processor bits.
+  // bit P, the memory response port, by memory_head_changed().
+  // ready_ifaces_ counts the processor bits.
   std::vector<std::uint64_t> ready_;
   std::uint32_t ready_ifaces_ = 0;
   // The ready ports that need no memory input buffer: interfaces whose head
@@ -264,9 +285,6 @@ class Simulator final : public sync::SchemeServices {
   // port.  While memory's input buffer is full, they are the only grantable
   // ones.
   std::vector<std::uint64_t> memory_free_;
-  // For stamp-aware disciplines, the per-port request view (sized once,
-  // written only at ready ports).
-  std::vector<bus::ArbRequest> arb_req_;
   /// Every line's valid holders and buffered write-backs, kept by the caches'
   /// transition hooks and the interfaces' queue hooks; snoop_others() visits
   /// only the holders.
