@@ -29,9 +29,10 @@
 //     --engine NAME         des|tick: the discrete-event core (default) or
 //                           the per-cycle tick loop that is its oracle;
 //                           results are byte-identical
-//     --sweep               run every scheme x both memory models on the
-//                           parallel engine and print a comparison table
-//                           (profiles only)
+//     --sweep               run every scheme x both consistency models on
+//                           the parallel engine and print a comparison table
+//                           (profiles only; --scheme and --consistency are
+//                           rejected)
 //     --per-lock            print the per-lock contention breakdown
 //     --trace-out FILE      record a cycle-stamped event trace and write it
 //                           as Chrome trace-event JSON (open at
@@ -101,6 +102,8 @@ struct Options {
   std::string program = "Grav";
   sync::SchemeKind scheme = sync::SchemeKind::kQueuing;
   bus::ConsistencyModel consistency = bus::ConsistencyModel::kSequential;
+  bool scheme_given = false;       // --sweep runs every scheme and model,
+  bool consistency_given = false;  // so it rejects these two flags
   cache::WritePolicy write_policy = cache::WritePolicy::kWriteBack;
   std::uint64_t scale = 8;
   std::uint32_t procs = 0;
@@ -167,14 +170,18 @@ Options parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--program") opt.program = value();
-    else if (arg == "--scheme")
+    else if (arg == "--scheme") {
       opt.scheme = named(arg, value(), &sync::scheme_kind_from_name,
                          "\"queuing\", \"queuing-exact\", \"ttas\", \"tas\", "
                          "\"tas-backoff\", \"ticket\", \"anderson\", \"mcs\" "
                          "or \"clh\"");
-    else if (arg == "--consistency")
+      opt.scheme_given = true;
+    }
+    else if (arg == "--consistency") {
       opt.consistency = named(arg, value(), &bus::consistency_from_name,
                               "\"sequential\" or \"weak\"");
+      opt.consistency_given = true;
+    }
     else if (arg == "--write-policy")
       opt.write_policy = named(arg, value(), &cache::write_policy_from_name,
                                "\"write-back\" or \"write-through\"");
@@ -237,6 +244,15 @@ Options parse(int argc, char** argv) {
     else if (arg == "--validate") opt.validate = true;
     else usage(argv[0]);
   }
+  if (opt.sweep && (opt.scheme_given || opt.consistency_given)) {
+    std::cerr << "error: --sweep runs every scheme under both consistency "
+                 "models; drop "
+              << (!opt.consistency_given ? "--scheme"
+                  : !opt.scheme_given    ? "--consistency"
+                                         : "--scheme and --consistency")
+              << "\n";
+    std::exit(2);
+  }
   return opt;
 }
 
@@ -279,7 +295,8 @@ bool write_output(const std::string& path, const std::string& bytes,
   return true;
 }
 
-/// --sweep: every lock scheme x both memory models on the parallel engine.
+/// --sweep: every lock scheme x both consistency models on the parallel
+/// engine.
 int run_sweep(const Options& opt, const core::MachineConfig& base) {
   const std::vector<workload::BenchmarkProfile> profiles =
       workload::paper_profiles();
