@@ -16,10 +16,7 @@ StampOrder::StampOrder(std::uint32_t ports)
 std::vector<StampOrder::Entry>::iterator StampOrder::position(
     std::uint64_t stamp, std::uint32_t port) {
   return std::lower_bound(sorted_.begin(), sorted_.end(), Entry{stamp, port},
-                          [](const Entry& a, const Entry& b) {
-                            return a.stamp != b.stamp ? a.stamp < b.stamp
-                                                      : a.port < b.port;
-                          });
+                          before);
 }
 
 void StampOrder::set(std::uint32_t port, std::uint64_t stamp) {
@@ -39,6 +36,22 @@ void StampOrder::erase(std::uint32_t port) {
 void StampOrder::clear() {
   for (const Entry& e : sorted_) held_[e.port] = 0;
   sorted_.clear();
+}
+
+void StampOrder::load(const ArbRequest* req) {
+  clear();
+  for (std::uint32_t p = 0; p < held_.size(); ++p) {
+    if (!req[p].present) continue;
+    held_[p] = 1;
+    stamp_[p] = req[p].stamp;
+    sorted_.push_back(Entry{req[p].stamp, p});
+  }
+  // Entered in port order, so ordering by stamp alone and keeping ties in
+  // place gives (stamp, port id) order.  This stable merge by one key times
+  // faster than std::sort on the pair and than one sorted insertion per
+  // port (EXPERIMENTS.md, "Cache line storage").
+  std::stable_sort(sorted_.begin(), sorted_.end(),
+                   [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
 }
 
 ServiceDiscipline::ServiceDiscipline(std::uint32_t ports, bool stamped)
@@ -72,12 +85,7 @@ DisciplineKind discipline_from_name(const std::string& name) {
 
 void ServiceDiscipline::scan_order(const ArbRequest* req, std::uint64_t now,
                                    std::uint32_t* out) {
-  if (order_ != nullptr) {
-    order_->clear();
-    for (std::uint32_t p = 0; p < ports_; ++p) {
-      if (req[p].present) order_->set(p, req[p].stamp);
-    }
-  }
+  if (order_ != nullptr) order_->load(req);
   struct Collect {
     std::uint32_t* out;
     std::uint64_t* offered;

@@ -76,6 +76,9 @@ class StampOrder {
   /// `port` holds no request any more; a no-op if absent.
   void erase(std::uint32_t port);
   void clear();
+  /// Replaces the order with the present requests of `req` (one entry per
+  /// port), sorted once.
+  void load(const ArbRequest* req);
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
 
   /// Calls visit(port, stamp) in ascending (stamp, port id) order until it
@@ -94,6 +97,10 @@ class StampOrder {
     std::uint64_t stamp;
     std::uint32_t port;
   };
+  /// Ascending (stamp, port id).
+  static bool before(const Entry& a, const Entry& b) {
+    return a.stamp != b.stamp ? a.stamp < b.stamp : a.port < b.port;
+  }
   /// Where the entry (stamp, port) sits, or would be inserted.
   [[nodiscard]] std::vector<Entry>::iterator position(std::uint64_t stamp,
                                                       std::uint32_t port);

@@ -1,5 +1,6 @@
 #include "cache/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -26,14 +27,32 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   set_mask_ = config_.num_sets() - 1;
   tag_shift_ =
       line_shift_ + static_cast<std::uint32_t>(std::countr_zero(config_.num_sets()));
-  lines_.resize(static_cast<std::size_t>(config_.num_sets()) *
-                config_.associativity);
+  const std::uint32_t block_sets = std::min(kBlockSets, config_.num_sets());
+  block_shift_ = static_cast<std::uint32_t>(std::countr_zero(block_sets));
+  block_set_mask_ = block_sets - 1;
+  block_lines_ = block_sets * config_.associativity;
+  block_offset_.assign(config_.num_sets() / block_sets, 0);
+  pool_.resize(block_lines_);  // the empty block
+}
+
+std::uint32_t Cache::build_block() {
+  const std::size_t offset = pool_.size();
+  if (offset + block_lines_ > pool_.capacity()) {
+    // Doubling, capped at every block plus the empty one, so a cache that
+    // fills every set holds one block more than a flat array, not twice it.
+    // The last step goes straight to the cap instead of doubling first to
+    // one block short of it.
+    const std::size_t all_blocks = (block_offset_.size() + 1) * block_lines_;
+    const std::size_t doubled = 2 * pool_.capacity();
+    pool_.reserve(2 * doubled > all_blocks ? all_blocks : doubled);
+  }
+  pool_.resize(offset + block_lines_);
+  return static_cast<std::uint32_t>(offset);
 }
 
 Cache::Line* Cache::find(std::uint32_t addr) {
-  const std::uint32_t set = set_index(addr);
   const std::uint32_t tag = tag_of(addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.associativity];
+  Line* base = set_base(set_index(addr));
   for (std::uint32_t w = 0; w < config_.associativity; ++w) {
     Line& line = base[w];
     if (line.state != LineState::kInvalid && line.tag == tag) return &line;
@@ -105,7 +124,9 @@ Cache::AllocateResult Cache::allocate(std::uint32_t line_addr) {
   SYNCPAT_ASSERT_MSG(find(line_addr) == nullptr,
                      "allocate() for a line that is already present");
   const std::uint32_t set = set_index(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.associativity];
+  std::uint32_t& block = block_offset_[set >> block_shift_];
+  if (block == 0) block = build_block();
+  Line* base = set_base(set);
 
   Line* victim = nullptr;
   for (std::uint32_t w = 0; w < config_.associativity; ++w) {
@@ -138,9 +159,8 @@ Cache::AllocateResult Cache::allocate(std::uint32_t line_addr) {
 }
 
 void Cache::fill(std::uint32_t line_addr, LineState state) {
-  const std::uint32_t set = set_index(line_addr);
   const std::uint32_t tag = tag_of(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.associativity];
+  Line* base = set_base(set_index(line_addr));
   for (std::uint32_t w = 0; w < config_.associativity; ++w) {
     Line& line = base[w];
     if (line.state == LineState::kPending && line.tag == tag) {
@@ -155,9 +175,8 @@ void Cache::fill(std::uint32_t line_addr, LineState state) {
 }
 
 void Cache::cancel_pending(std::uint32_t line_addr) {
-  const std::uint32_t set = set_index(line_addr);
   const std::uint32_t tag = tag_of(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * config_.associativity];
+  Line* base = set_base(set_index(line_addr));
   for (std::uint32_t w = 0; w < config_.associativity; ++w) {
     Line& line = base[w];
     if (line.state == LineState::kPending && line.tag == tag) {

@@ -169,14 +169,16 @@ class Cache {
     hook_ctx_ = ctx;
   }
 
-  /// Visits every resident (non-Invalid) line as fn(line_addr, state).
-  /// Used by the invariant checker's run-end MESI sweep.
+  /// Visits every resident (non-Invalid) line as fn(line_addr, state), in
+  /// ascending set order and way order within a set.  Used by the invariant
+  /// checker's run-end MESI sweep.
   template <typename Fn>
   void for_each_valid_line(Fn&& fn) const {
     const std::uint32_t num_sets = config_.num_sets();
     for (std::uint32_t set = 0; set < num_sets; ++set) {
+      const Line* base = set_base(set);
       for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        const Line& line = lines_[set * config_.associativity + way];
+        const Line& line = base[way];
         if (line.state == LineState::kInvalid) continue;
         const std::uint32_t line_addr =
             (line.tag * num_sets + set) * config_.line_bytes;
@@ -186,6 +188,16 @@ class Cache {
   }
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
+  /// Lines this cache has built storage for: kBlockSets sets' worth of ways
+  /// for every block in which it has allocated a line, 0 for a fresh cache
+  /// and never more than num_sets * associativity.
+  [[nodiscard]] std::size_t built_lines() const {
+    return pool_.size() - block_lines_;
+  }
+
+  /// Sets per storage block (fewer when the cache has fewer sets).  A block
+  /// is built the first time a line is allocated in one of its sets.
+  static constexpr std::uint32_t kBlockSets = 16;
 
  private:
   struct Line {
@@ -202,8 +214,18 @@ class Cache {
   [[nodiscard]] std::uint32_t tag_of(std::uint32_t addr) const {
     return addr >> tag_shift_;
   }
+  /// The set's first way: in its block if built, else in the empty block.
+  [[nodiscard]] Line* set_base(std::uint32_t set) {
+    return pool_.data() + block_offset_[set >> block_shift_] +
+           (set & block_set_mask_) * config_.associativity;
+  }
+  [[nodiscard]] const Line* set_base(std::uint32_t set) const {
+    return const_cast<Cache*>(this)->set_base(set);
+  }
   [[nodiscard]] Line* find(std::uint32_t addr);
   [[nodiscard]] const Line* find(std::uint32_t addr) const;
+  /// Appends an all-Invalid block to the pool and returns its offset.
+  std::uint32_t build_block();
   AccessResult access_line(Line* line, std::uint32_t addr, AccessClass cls);
   void notify_transition(std::uint32_t line_addr, LineState from,
                          LineState to) {
@@ -214,7 +236,15 @@ class Cache {
   std::uint32_t line_shift_ = 0;
   std::uint32_t set_mask_ = 0;
   std::uint32_t tag_shift_ = 0;
-  std::vector<Line> lines_;  // num_sets * associativity, set-major
+  std::uint32_t block_shift_ = 0;     // log2(sets per block)
+  std::uint32_t block_set_mask_ = 0;  // sets per block - 1
+  std::uint32_t block_lines_ = 0;     // sets per block * associativity
+  // Per block of sets: the offset of its first line in pool_.  Every entry
+  // starts at 0, the pool's leading all-Invalid block, which nothing ever
+  // writes: a lookup there misses without a branch on whether the block is
+  // built, and allocate() is the only path that builds one.
+  std::vector<std::uint32_t> block_offset_;
+  std::vector<Line> pool_;  // the empty block, then built blocks, set-major
   std::uint64_t lru_clock_ = 0;
   CacheStats stats_;
   TransitionHook hook_ = nullptr;

@@ -206,19 +206,26 @@ void Simulator::step() {
   check_progress();
 }
 
-void Simulator::scan_progress() {
-  next_progress_check_ =
-      (cycle_ & ~(kProgressCheckPeriod - 1)) + kProgressCheckPeriod;
+std::uint64_t Simulator::progress_marker() const {
   std::uint64_t marker = next_txn_id_;
   for (const auto& p : procs_) {
     marker += p->stats().work_cycles + p->stats().completion_cycle;
   }
-  marker += lock_stats_.total().acquisitions;
-  if (marker != progress_marker_) {
+  return marker + lock_stats_.total().acquisitions;
+}
+
+void Simulator::scan_progress() {
+  next_progress_check_ =
+      (cycle_ & ~(kProgressCheckPeriod - 1)) + kProgressCheckPeriod;
+  if (const std::uint64_t marker = progress_marker();
+      marker != progress_marker_) {
     progress_marker_ = marker;
     last_progress_cycle_ = cycle_;
   }
-  if (cycle_ - last_progress_cycle_ >= 500'000) {
+  if (cycle_ - last_progress_cycle_ >= kNoProgressLimit) {
+    // DES books a waiting processor's cycles lazily; settle them so the dump
+    // shows the counters the tick loop's does.
+    if (des_active_) des_settle_all(cycle_);
     std::fprintf(stderr, "deadlock diagnostic at cycle %llu:\n",
                  static_cast<unsigned long long>(cycle_));
     for (const auto& p : procs_) {
@@ -420,11 +427,22 @@ void Simulator::run_des() {
   while (!all_done()) {
     std::uint64_t t = des_next_event();
     if (t == Processor::kNever) {
-      // Genuine deadlock: nothing will ever act again.  Jump to where the
-      // progress watchdog trips and let step_des reach its diagnostic, with
-      // every processor settled so the dump shows accurate counters.
+      // Genuine deadlock: nothing will ever act again, so with every
+      // processor settled the progress marker is final.  Record the progress
+      // made since the last scan as the tick loop's next scan would, then
+      // jump to the scan at which its watchdog trips and let step_des reach
+      // the diagnostic there.
       des_settle_all(cycle_);
-      t = std::max(cycle_ + 1, last_progress_cycle_ + 500'000);
+      if (const std::uint64_t marker = progress_marker();
+          marker != progress_marker_) {
+        progress_marker_ = marker;
+        last_progress_cycle_ = next_progress_check_;
+      }
+      // The first scan boundary at least kNoProgressLimit past the progress.
+      const std::uint64_t trip = (last_progress_cycle_ + kNoProgressLimit +
+                                  kProgressCheckPeriod - 1) &
+                                 ~(kProgressCheckPeriod - 1);
+      t = std::max(cycle_ + 1, trip);
     }
     if (t > cycle_ + 1) {
       // Advance to one cycle before the event; step_des executes the event

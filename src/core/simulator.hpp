@@ -226,6 +226,8 @@ class Simulator final : public sync::SchemeServices {
     if (cycle_ >= next_progress_check_) scan_progress();
   }
   void scan_progress();
+  /// Sum of the counters that move only when the run makes progress.
+  [[nodiscard]] std::uint64_t progress_marker() const;
 
   // --- discrete-event core (see run_des()) ---------------------------------
   /// Phases 1-2b of step(): deferred fills, memory, backoff timers.  Shared
@@ -385,6 +387,7 @@ class Simulator final : public sync::SchemeServices {
   // every cycle; the 500k-cycle deadlock threshold is unchanged, so
   // diagnosis moves by at most one period.
   static constexpr std::uint64_t kProgressCheckPeriod = 1024;  // power of two
+  static constexpr std::uint64_t kNoProgressLimit = 500'000;
   std::uint64_t next_progress_check_ = kProgressCheckPeriod;
   std::uint64_t last_progress_cycle_ = 0;
   std::uint64_t progress_marker_ = 0;

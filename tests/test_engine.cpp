@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bus/interface.hpp"
 #include "core/invariant_checker.hpp"
@@ -17,6 +19,7 @@
 #include "core/simulator.hpp"
 #include "fuzz/render.hpp"
 #include "sync/scheme_factory.hpp"
+#include "test_util.hpp"
 #include "trace/source.hpp"
 #include "workload/generator.hpp"
 #include "workload/profiles.hpp"
@@ -137,6 +140,57 @@ TEST(EngineDifferential, InvariantCheckerKeepsConfiguredEngine) {
         << core::engine_name(engine);
     EXPECT_GT(checked.checks, 0u) << core::engine_name(engine);
     EXPECT_EQ(checked.violations, 0u) << core::engine_name(engine);
+  }
+}
+
+/// Runs `per_proc` under T&T&S on `engine`: a program that can never
+/// finish, so the progress watchdog prints its diagnostic and aborts.
+void run_deadlocked(std::vector<std::vector<trace::Event>> per_proc,
+                    core::EngineKind engine) {
+  trace::ProgramTrace program = testutil::make_program(std::move(per_proc));
+  core::MachineConfig cfg = testutil::machine(sync::SchemeKind::kTtas);
+  cfg.engine = engine;
+  (void)testutil::simulate(cfg, program);
+}
+
+// A run that can never finish trips the watchdog at the same cycle, with the
+// same counters, on both engines: DES records the progress made since its
+// last scan as the tick loop's next scan would, then jumps to the scan at
+// which the tick loop's watchdog fires.
+TEST(EngineDeadlockDeathTest, BarrierOnlyOneProcessorReaches) {
+  const trace::Event barrier{trace::AddressMap::barrier_addr(0), 1,
+                             trace::Op::kBarrier};
+  for (const core::EngineKind engine :
+       {core::EngineKind::kDes, core::EngineKind::kTick}) {
+    SCOPED_TRACE(core::engine_name(engine));
+    EXPECT_DEATH(run_deadlocked({{testutil::ifetch(0x100), barrier,
+                                  testutil::ifetch(0x110, 2)},
+                                 {testutil::ifetch(0x200, 2),
+                                  testutil::ifetch(0x210)}},
+                                engine),
+                 "deadlock diagnostic at cycle 501760:\n"
+                 "  proc 0 state=3 work=2 lockstall=501745 done=0\n"
+                 "  proc 1 state=6 work=3 lockstall=0 done=1\n"
+                 "  active txns=0 line_inflight=0 timers=0\n"
+                 "  barrier 0xf2000000 waiting=1\n");
+  }
+}
+
+// The holder finishes without releasing, after the first watchdog scan, so
+// the last progress falls in the watchdog's second period.
+TEST(EngineDeadlockDeathTest, LockHolderNeverReleases) {
+  for (const core::EngineKind engine :
+       {core::EngineKind::kDes, core::EngineKind::kTick}) {
+    SCOPED_TRACE(core::engine_name(engine));
+    EXPECT_DEATH(run_deadlocked({{testutil::lock_acq(0),
+                                  testutil::load(testutil::shared_line(1), 1500)},
+                                 {testutil::ifetch(0x200, 5),
+                                  testutil::lock_acq(0), testutil::lock_rel(0)}},
+                                engine),
+                 "deadlock diagnostic at cycle 502784:\n"
+                 "  proc 0 state=6 work=1501 lockstall=0 done=1\n"
+                 "  proc 1 state=4 work=6 lockstall=502772 done=0\n"
+                 "  active txns=0 line_inflight=0 timers=0\n");
   }
 }
 

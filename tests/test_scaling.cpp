@@ -454,6 +454,27 @@ TEST(SnoopFilter, EveryProbeFindsTheLineAtP256) {
   EXPECT_LT(snoops.probes, snooping * (kProcs - 1) / 10);
 }
 
+// Each cache builds line storage only for the blocks of sets it fills, so
+// the machine's total at P = 1024 is a deterministic count far below the
+// eager P x 4,096 lines.  A return to eager allocation fails here.
+TEST(CacheStorage, BuildsOnlyTheBlocksItFillsAtP1024) {
+  constexpr std::uint32_t kProcs = 1024;
+  core::MachineConfig cfg;
+  cfg.num_procs = kProcs;
+  cfg.lock_scheme = sync::SchemeKind::kTtas;
+  EXPECT_EQ(cache::Cache(cfg.cache).built_lines(), 0u);
+  trace::ProgramTrace program =
+      workload::make_program_trace(testutil::scale_study(kProcs, 150));
+  core::Simulator sim(cfg, program);
+  (void)sim.run();
+  std::uint64_t built = 0;
+  for (std::uint32_t p = 0; p < kProcs; ++p) built += sim.cache_of(p).built_lines();
+  const std::uint64_t eager = std::uint64_t{kProcs} *
+                              cfg.cache.num_sets() * cfg.cache.associativity;
+  EXPECT_EQ(built, 894'624u);  // 27.3 blocks of 16 sets per processor
+  EXPECT_LT(built, eager / 2);
+}
+
 /// Runs `profile` on DES with the invariant checker attached (it
 /// cross-checks the holder directory) and on per-cycle ticking, under every
 /// discipline and both consistency models; the renders must match and the
