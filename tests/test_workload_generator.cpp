@@ -4,8 +4,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "test_util.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/address_map.hpp"
 #include "workload/profiles.hpp"
@@ -227,6 +234,107 @@ TEST(Generator, CpiSkewScalesOneProcessor) {
   const double normal = static_cast<double>(stats.per_proc[1].work_cycles);
   EXPECT_GT(skewed, normal * 1.3);
   EXPECT_LT(skewed, normal * 1.7);
+}
+
+// ---------------------------------------------------------------------------
+// Generated streams: digests pinned across commits.
+// ---------------------------------------------------------------------------
+
+// Every simulated result starts from these streams, so a change to the
+// synthesizer that must keep them (a faster draw, another staging layout)
+// is checked here first, cheaply and per stream.  Each golden line is
+// "<stream> <seed> <events> <FNV-1a 64>", the hash taken over every
+// processor's events in processor order, each event as its address and gap
+// (4 bytes each, little-endian) and its op byte.  Regenerate with
+// SYNCPAT_UPDATE_GOLDEN=1 and --gtest_filter='GeneratorGolden.*', in a
+// commit that leaves src/workload/ and src/util/rng.hpp alone.
+std::string stream_golden_path() {
+  return std::string(SYNCPAT_GOLDEN_DIR) + "/generator_streams.txt";
+}
+
+/// The pinned streams: the six paper profiles at scale 64, Grav with 100
+/// and 400 work cycles per reference (the gap sampler's log1p path) at the
+/// coarse-grain scale 32, and the large-P study at P = 1024.
+std::vector<BenchmarkProfile> pinned_stream_profiles() {
+  std::vector<BenchmarkProfile> profiles;
+  for (const BenchmarkProfile& p : paper_profiles()) {
+    profiles.push_back(p.scaled(64));
+  }
+  for (const double wcpr : {100.0, 400.0}) {
+    BenchmarkProfile coarse = grav_profile();
+    coarse.work_cycles_per_ref = wcpr;
+    coarse.name = "Grav-coarse" + std::to_string(static_cast<int>(wcpr));
+    profiles.push_back(coarse.scaled(32));
+  }
+  BenchmarkProfile study = testutil::scale_study(1024, 150);
+  study.name = "ScaleStudy-p1024";
+  profiles.push_back(study);
+  return profiles;
+}
+
+TEST(GeneratorGolden, StreamDigestsPinnedAcrossCommits) {
+  std::vector<std::pair<std::string, std::string>> actual;  // key, value
+  for (const std::uint64_t seed : {1, 2}) {
+    for (BenchmarkProfile profile : pinned_stream_profiles()) {
+      profile.seed = seed;
+      trace::ProgramTrace program = make_program_trace(profile);
+      std::uint64_t hash = 0xcbf29ce484222325ull;
+      const auto mix = [&hash](std::uint32_t word, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+          hash ^= (word >> (8 * i)) & 0xffu;
+          hash *= 0x100000001b3ull;
+        }
+      };
+      std::uint64_t events = 0;
+      for (auto& source : program.per_proc) {
+        trace::Event e;
+        while (source->next(e)) {
+          mix(e.addr, 4);
+          mix(e.gap, 4);
+          mix(static_cast<std::uint32_t>(e.op), 1);
+          ++events;
+        }
+      }
+      char value[48];
+      std::snprintf(value, sizeof value, "%llu %016llx",
+                    static_cast<unsigned long long>(events),
+                    static_cast<unsigned long long>(hash));
+      actual.emplace_back(profile.name + " " + std::to_string(seed), value);
+    }
+  }
+
+  if (std::getenv("SYNCPAT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(stream_golden_path(), std::ios::trunc);
+    out << "# Generated streams: stream, seed, events, FNV-1a 64 of every "
+           "processor's events.\n";
+    for (const auto& [key, value] : actual) out << key << " " << value << "\n";
+    ASSERT_TRUE(out.good()) << "cannot write " << stream_golden_path();
+    GTEST_SKIP() << "golden digests regenerated at " << stream_golden_path()
+                 << "; review and commit the diff";
+  }
+  std::ifstream in(stream_golden_path());
+  ASSERT_TRUE(in.good()) << "missing golden digests " << stream_golden_path()
+                         << " — regenerate with SYNCPAT_UPDATE_GOLDEN=1";
+  std::map<std::string, std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.find(' ', line.find(' ') + 1);
+    ASSERT_NE(space, std::string::npos) << "malformed golden line: " << line;
+    expected[line.substr(0, space)] = line.substr(space + 1);
+  }
+  EXPECT_EQ(expected.size(), actual.size())
+      << "the golden file lists another set of streams";
+  for (const auto& [key, value] : actual) {
+    const auto it = expected.find(key);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "stream " << key << " is missing from "
+                    << stream_golden_path();
+    } else {
+      EXPECT_EQ(it->second, value)
+          << "stream " << key << ": generated events differ from "
+          << stream_golden_path();
+    }
+  }
 }
 
 }  // namespace
