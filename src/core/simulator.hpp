@@ -35,6 +35,7 @@
 #include "sync/lock_stats.hpp"
 #include "sync/scheme.hpp"
 #include "trace/source.hpp"
+#include "util/flat_table.hpp"
 
 namespace syncpat::core {
 
@@ -205,9 +206,11 @@ class Simulator final : public sync::SchemeServices {
   /// upgrade's coherence refill, which settles its requester first).
   bool try_grant(std::uint32_t port);
   void snoop_others(bus::Transaction* txn);
-  /// One processor's part of a snoop: its cache, then its buffered
-  /// write-back of the line, if any.
-  void snoop_one(bus::Transaction* txn, std::uint32_t proc, bool exclusive);
+  /// One processor's cache's part of a snoop.
+  void snoop_cache(bus::Transaction* txn, std::uint32_t proc, bool exclusive);
+  /// One processor's cache-bus buffer's part of a snoop: its buffered
+  /// write-back of the line, if any, supplies the data and is cancelled.
+  void snoop_buffer(bus::Transaction* txn, std::uint32_t proc);
   void complete_bus(bus::Transaction* txn);
   /// Installs the fetched line; false when the fill must be retried later.
   bool fill_own(bus::Transaction* txn);
@@ -331,7 +334,16 @@ class Simulator final : public sync::SchemeServices {
   std::uint64_t cycle_ = 0;
   std::uint64_t next_txn_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<bus::Transaction>> active_;
-  std::unordered_map<std::uint32_t, bus::Transaction*> line_inflight_;
+  /// The one transaction holding each line between its grant and its
+  /// completion (the arbiter refuses a grant while the line is busy).
+  struct InflightLine {
+    std::uint32_t key = 0;  // the line
+    bus::Transaction* txn = nullptr;
+    [[nodiscard]] bool empty() const { return txn == nullptr; }
+  };
+  util::FlatTable<InflightLine> line_inflight_;
+  /// Drops `txn`'s entry in line_inflight_, if the line is still its own.
+  void release_line(const bus::Transaction* txn);
   std::vector<bus::Transaction*> fill_retry_;
   std::vector<std::uint32_t> spin_line_;        // per proc; 0 = not spinning
   std::vector<std::uint32_t> outstanding_fence_;  // per proc
