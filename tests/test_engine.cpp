@@ -143,12 +143,13 @@ TEST(EngineDifferential, InvariantCheckerKeepsConfiguredEngine) {
   }
 }
 
-/// Runs `per_proc` under T&T&S on `engine`: a program that can never
+/// Runs `per_proc` under `scheme` on `engine`: a program that can never
 /// finish, so the progress watchdog prints its diagnostic and aborts.
 void run_deadlocked(std::vector<std::vector<trace::Event>> per_proc,
-                    core::EngineKind engine) {
+                    core::EngineKind engine,
+                    sync::SchemeKind scheme = sync::SchemeKind::kTtas) {
   trace::ProgramTrace program = testutil::make_program(std::move(per_proc));
-  core::MachineConfig cfg = testutil::machine(sync::SchemeKind::kTtas);
+  core::MachineConfig cfg = testutil::machine(scheme);
   cfg.engine = engine;
   (void)testutil::simulate(cfg, program);
 }
@@ -191,6 +192,25 @@ TEST(EngineDeadlockDeathTest, LockHolderNeverReleases) {
                  "  proc 0 state=6 work=1501 lockstall=0 done=1\n"
                  "  proc 1 state=4 work=6 lockstall=502772 done=0\n"
                  "  active txns=0 line_inflight=0 timers=0\n");
+  }
+}
+
+// The same program under tas: the waiter's test&set retries create a
+// transaction each but finish no trace event, so they are not progress and
+// the watchdog trips as it does under ttas.
+TEST(EngineDeadlockDeathTest, TasHolderNeverReleases) {
+  for (const core::EngineKind engine :
+       {core::EngineKind::kDes, core::EngineKind::kTick}) {
+    SCOPED_TRACE(core::engine_name(engine));
+    EXPECT_DEATH(run_deadlocked({{testutil::lock_acq(0),
+                                  testutil::load(testutil::shared_line(1), 1500)},
+                                 {testutil::ifetch(0x200, 5),
+                                  testutil::lock_acq(0), testutil::lock_rel(0)}},
+                                engine, sync::SchemeKind::kTas),
+                 "deadlock diagnostic at cycle 502784:\n"
+                 "  proc 0 state=6 work=1501 lockstall=0 done=1\n"
+                 "  proc 1 state=2 work=6 lockstall=502772 done=0\n"
+                 "  active txns=1 line_inflight=0 timers=0\n");
   }
 }
 
