@@ -173,9 +173,11 @@ TEST(Cache, DifferentSetsDoNotConflict) {
 // The snoop filter's directory against a plain reference under random
 // updates.  P = 130 makes the pooled holder masks three words with a partial
 // last one; holders must come back in ascending order through both the
-// inline one-holder form and the masks; write-back counts are independent of
-// holders; and erasing emptied slots (backward shift) must never lose a line
-// that collided with them.  3000 lines force several table growths.
+// inline one-holder form and the masks, from holders() and, for a line with
+// no buffered write-back, from snoop_targets(); write-back counts are
+// independent of holders; and erasing emptied slots (backward shift) must
+// never lose a line that collided with them.  3000 lines force several
+// table growths.
 TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
   constexpr std::uint32_t kProcs = 130;
   HolderDirectory dir(kProcs);
@@ -187,11 +189,21 @@ TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
   util::Rng rng(7);
   std::vector<std::uint32_t> out(kProcs);
   const auto check_line = [&](std::uint32_t line, const RefLine& r) {
+    const std::vector<std::uint32_t> want(r.holders.begin(), r.holders.end());
     const std::uint32_t n = dir.holders(line, out.data());
-    ASSERT_EQ(std::vector<std::uint32_t>(out.begin(), out.begin() + n),
-              std::vector<std::uint32_t>(r.holders.begin(), r.holders.end()))
+    ASSERT_EQ(std::vector<std::uint32_t>(out.begin(), out.begin() + n), want)
         << "line 0x" << std::hex << line;
-    ASSERT_EQ(dir.buffered_writebacks(line), r.writebacks);
+    const HolderDirectory::SnoopTargets targets =
+        dir.snoop_targets(line, out.data());
+    ASSERT_EQ(targets.writebacks, r.writebacks);
+    if (r.writebacks == 0) {
+      ASSERT_EQ(std::vector<std::uint32_t>(out.begin(),
+                                           out.begin() + targets.holders),
+                want)
+          << "line 0x" << std::hex << line;
+    } else {
+      ASSERT_EQ(targets.holders, 0u);
+    }
   };
   for (int op = 0; op < 200'000; ++op) {
     const auto line = static_cast<std::uint32_t>(rng.below(3000)) * 16;
