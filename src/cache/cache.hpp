@@ -153,6 +153,11 @@ class Cache {
   /// ownership) and false for Read.
   SnoopResult snoop(std::uint32_t line_addr, bool exclusive_request);
 
+  /// Counts the supply a read snoop of a line held Shared books, for a snoop
+  /// the caller answered without snoop(): it changes no line and calls no
+  /// hook, exactly as snoop() does on a Shared line.
+  void count_shared_supply() { ++stats_.supplies; }
+
   /// Current state of a line (kInvalid if absent).
   [[nodiscard]] LineState state(std::uint32_t addr) const;
 
