@@ -38,11 +38,16 @@ enum class TxnPhase : std::uint8_t {
   kDone,
 };
 
+// Field order keeps the struct at 56 bytes on 64-bit hosts, the one-byte
+// fields packed together, so that the per-processor link fits.  A size past
+// 56 moves every transaction into glibc's next allocation size class, and a
+// large-P run's set-up then faults in again the heap pages that glibc trims
+// between passes.
 struct Transaction {
   std::uint64_t id = 0;
-  TxnKind kind = TxnKind::kRead;
   std::uint32_t line_addr = 0;
   std::int32_t requester = -1;       // processor id
+  TxnKind kind = TxnKind::kRead;
   StallCause stall_cause = StallCause::kNone;
   bool is_lock_op = false;           // issued by a lock scheme
   std::uint8_t lock_step = 0;        // scheme-private state machine tag
@@ -67,6 +72,9 @@ struct Transaction {
   // Cycle make_txn() ran; never re-stamped (issued_cycle is, on the memory
   // response path), so the tracing layer can report whole-transaction spans.
   std::uint64_t created_cycle = 0;
+  // The requester's next live transaction in the simulator's per-processor
+  // list (write-backs and hand-offs are never listed); null at the tail.
+  Transaction* next_of_proc = nullptr;
 
   /// True when the requester's fences wait for this transaction: its own
   /// data accesses, not lock-scheme steps, write-backs or hand-offs.
@@ -91,5 +99,8 @@ struct Transaction {
            phase == TxnPhase::kOnBusResp;
   }
 };
+
+static_assert(sizeof(void*) != 8 || sizeof(Transaction) == 56,
+              "keep Transaction at 56 bytes (see the comment above it)");
 
 }  // namespace syncpat::bus
