@@ -102,9 +102,6 @@ struct MachineConfig {
   /// either engine.
   EngineKind engine = EngineKind::kDes;
 
-  /// Hard simulation bound; exceeded means a deadlock or runaway workload.
-  std::uint64_t max_cycles = 4'000'000'000ULL;
-
   /// Bus cycles to move one line: line_bytes / bus_bytes.
   [[nodiscard]] std::uint32_t line_transfer_cycles() const {
     return (cache.line_bytes + bus_bytes - 1) / bus_bytes;

@@ -73,6 +73,9 @@ struct ArbitrationStats {
 
 class Simulator final : public sync::SchemeServices {
  public:
+  /// The runaway bound: no run executes a cycle past it.
+  static constexpr std::uint64_t kMaxCycles = 4'000'000'000ULL;
+
   /// The program trace must outlive the simulator; sources are reset on
   /// construction.
   Simulator(const MachineConfig& config, trace::ProgramTrace& program);
@@ -225,16 +228,12 @@ class Simulator final : public sync::SchemeServices {
   /// gauge and the bus trace.  Called after each Bus::occupy while
   /// observe_bus_ is set.
   void on_bus_tenure(const bus::Transaction& txn, std::uint32_t cycles);
-  /// Progress watchdog, called at the end of every cycle by both engines:
-  /// the scan walks every processor, so it runs only at the first cycle at
-  /// or past each kProgressCheckPeriod boundary (on the tick loop, the
-  /// boundary itself; on DES, the first event cycle there).
-  void check_progress() {
-    if (cycle_ >= next_progress_check_) scan_progress();
-  }
-  void scan_progress();
-  /// Sum of the counters that move only when the run makes progress.
-  [[nodiscard]] std::uint64_t progress_marker() const;
+  /// Sets stop_cycle_ to min(largest Processor::progress_cycle() +
+  /// kNoProgressLimit, kMaxCycles), and stops the run when that is not past
+  /// cycle_: with the deadlock diagnostic, or at the runaway bound.  Both
+  /// engines call it at the end of every cycle that reaches stop_cycle_ (DES
+  /// steps that cycle itself), so a run stops on the same cycle on both.
+  void update_stop_cycle();
 
   // --- discrete-event core (see run_des()) ---------------------------------
   /// Phases 1-2b of step(): deferred fills, memory, backoff timers.  Shared
@@ -403,14 +402,12 @@ class Simulator final : public sync::SchemeServices {
   util::RunningStat barrier_waiters_at_arrival_;
   BusTraffic traffic_;
 
-  // Progress watchdog: scanned every kProgressCheckPeriod cycles instead of
-  // every cycle; the 500k-cycle deadlock threshold is unchanged, so
-  // diagnosis moves by at most one period.
-  static constexpr std::uint64_t kProgressCheckPeriod = 1024;  // power of two
+  /// A run stops when no processor's trace has progressed for this many
+  /// cycles (see Processor::progress_cycle()).
   static constexpr std::uint64_t kNoProgressLimit = 500'000;
-  std::uint64_t next_progress_check_ = kProgressCheckPeriod;
-  std::uint64_t last_progress_cycle_ = 0;
-  std::uint64_t progress_marker_ = 0;
+  /// The next cycle at which update_stop_cycle() re-reads the stamps; past
+  /// cycle_ between cycles.
+  std::uint64_t stop_cycle_ = 0;
 
   friend class Processor;
   friend class InvariantChecker;
