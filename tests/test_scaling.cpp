@@ -477,10 +477,28 @@ TEST(CacheStorage, BuildsOnlyTheBlocksItFillsAtP1024) {
   EXPECT_LT(built, eager / 2);
 }
 
+/// Every cache's ten CacheStats counters, one line per cache in id order.
+std::string render_cache_stats(const core::Simulator& sim) {
+  std::string out;
+  for (std::uint32_t p = 0; p < sim.num_procs(); ++p) {
+    const cache::CacheStats& s = sim.cache_of(p).stats();
+    for (const std::uint64_t n :
+         {s.ifetch_hits, s.ifetch_misses, s.read_hits, s.read_misses,
+          s.write_hits, s.write_misses, s.upgrades, s.writebacks,
+          s.invalidations_received, s.supplies}) {
+      out += std::to_string(n);
+      out += ',';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
 /// Runs `profile` on DES with the invariant checker attached (it
 /// cross-checks the holder directory) and on per-cycle ticking, under every
-/// discipline and both consistency models; the renders must match and the
-/// checker must stay clean.  Returns the DES runs' write-back fallbacks.
+/// discipline and both consistency models; the renders, every cache's
+/// statistics and the snoop counts must match and the checker must stay
+/// clean.  Returns the DES runs' write-back fallbacks.
 std::uint64_t expect_des_matches_tick(const workload::BenchmarkProfile& profile,
                                       core::MachineConfig cfg) {
   std::uint64_t fallbacks = 0;
@@ -512,6 +530,16 @@ std::uint64_t expect_des_matches_tick(const workload::BenchmarkProfile& profile,
       EXPECT_EQ(des_arb.offers, tick_arb.offers) << label;
       EXPECT_EQ(des_arb.refusals, tick_arb.refusals) << label;
       EXPECT_GT(des_arb.rounds, 0u) << label;
+      // Both engines make the same snoops, and every supply a directory
+      // answer owes is booked by the end of either run.
+      EXPECT_EQ(render_cache_stats(sim), render_cache_stats(tick_sim)) << label;
+      const core::SnoopStats& des_snoops = sim.snoop_stats();
+      const core::SnoopStats& tick_snoops = tick_sim.snoop_stats();
+      EXPECT_EQ(des_snoops.probes, tick_snoops.probes) << label;
+      EXPECT_EQ(des_snoops.directory_credits, tick_snoops.directory_credits)
+          << label;
+      EXPECT_EQ(des_snoops.writeback_fallbacks, tick_snoops.writeback_fallbacks)
+          << label;
       const core::InvariantChecker& checker = *sim.invariant_checker();
       EXPECT_TRUE(checker.ok())
           << label << ": " << checker.violation_count()
@@ -560,27 +588,46 @@ std::string render_digest(const std::string& rendered) {
 }
 
 /// Checks every (cell label, digest) in `actual` against the golden file
-/// `name`, which must list exactly those cells.  With SYNCPAT_UPDATE_GOLDEN
-/// set it rewrites the file under `header` instead and skips.
+/// `name`, whose lines with a label starting with `section` must list
+/// exactly those cells (every line, for the default empty section).  With
+/// SYNCPAT_UPDATE_GOLDEN set it rewrites that section in place under
+/// `header` instead, keeping the file's other lines, and skips.
 void expect_golden_digests(const std::string& name, const std::string& header,
-                           const CellDigests& actual) {
+                           const CellDigests& actual,
+                           const std::string& section = "") {
   const std::string path = std::string(SYNCPAT_GOLDEN_DIR) + "/" + name;
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
   if (std::getenv("SYNCPAT_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
     out << "# " << header << "\n";
-    for (const auto& [label, digest] : actual) {
-      out << label << " " << digest << "\n";
+    bool written = false;
+    const auto write_section = [&] {
+      for (const auto& [label, digest] : actual) {
+        out << label << " " << digest << "\n";
+      }
+      written = true;
+    };
+    for (const std::string& line : lines) {
+      if (!line.starts_with(section)) {
+        out << line << "\n";
+      } else if (!written) {
+        write_section();
+      }
     }
+    if (!written) write_section();
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     GTEST_SKIP() << "golden digests regenerated at " << path
                  << "; review and commit the diff";
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden digests " << path
-                         << " — regenerate with SYNCPAT_UPDATE_GOLDEN=1";
+  ASSERT_FALSE(lines.empty()) << "missing golden digests " << path
+                              << " — regenerate with SYNCPAT_UPDATE_GOLDEN=1";
   std::map<std::string, std::string> expected;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] == '#') continue;
+  for (const std::string& line : lines) {
+    if (!line.starts_with(section)) continue;
     const std::size_t space = line.find(' ');
     ASSERT_NE(space, std::string::npos) << "malformed golden line: " << line;
     expected[line.substr(0, space)] = line.substr(space + 1);
@@ -598,6 +645,18 @@ void expect_golden_digests(const std::string& name, const std::string& header,
   }
 }
 
+// The golden cells' caches, pinned beside their results: one file, a section
+// per golden test (labels prefixed with the processor count), each line the
+// FNV-1a 64 hash of render_cache_stats, so a change to how the caches keep
+// LRU order or book supplies cannot move one counter unseen.  Regenerate the
+// two sections together, like the result digests:
+// --gtest_filter='StampDisciplineGolden.*:RoundRobinGolden.*'.
+constexpr const char* kCacheStatsGolden = "cache_stats.txt";
+constexpr const char* kCacheStatsHeader =
+    "Golden cells of StampDisciplineGolden (p256/) and RoundRobinGolden "
+    "(p1024/): cell, FNV-1a 64 of every cache's ten CacheStats counters in id "
+    "order.";
+
 // Both engines call the same arbitrate(), so the DES/tick differentials
 // cannot see a change in who wins the bus, and the fuzzer draws P <= 128.
 // These cells pin the FCFS and fixed-priority grant orders at P = 256: each
@@ -608,6 +667,7 @@ void expect_golden_digests(const std::string& name, const std::string& header,
 TEST(StampDisciplineGolden, RenderDigestsPinnedAcrossCommits) {
   const workload::BenchmarkProfile profile = testutil::scale_study(256, 150);
   CellDigests actual;
+  CellDigests caches;
   for (const bus::DisciplineKind discipline :
        {bus::DisciplineKind::kFcfs, bus::DisciplineKind::kFixedPriority}) {
     for (const sync::SchemeKind scheme :
@@ -615,20 +675,26 @@ TEST(StampDisciplineGolden, RenderDigestsPinnedAcrossCommits) {
       for (const bus::ConsistencyModel model :
            {bus::ConsistencyModel::kSequential, bus::ConsistencyModel::kWeak}) {
         core::MachineConfig cfg;
+        cfg.num_procs = profile.num_procs;
         cfg.bus_discipline = discipline;
         cfg.lock_scheme = scheme;
         cfg.consistency = model;
-        actual.emplace_back(
+        const std::string label =
             std::string(bus::discipline_name(discipline)) + "/" +
-                sync::scheme_kind_name(scheme) + "/" +
-                bus::consistency_name(model),
-            render_digest(run_rendered(profile, cfg, core::EngineKind::kDes)));
+            sync::scheme_kind_name(scheme) + "/" + bus::consistency_name(model);
+        trace::ProgramTrace program = workload::make_program_trace(profile);
+        core::Simulator sim(cfg, program);
+        actual.emplace_back(label,
+                            render_digest(fuzz::render_result(sim.run())));
+        caches.emplace_back("p256/" + label,
+                            render_digest(render_cache_stats(sim)));
       }
     }
   }
   expect_golden_digests(
       "stamp_disciplines_p256.txt",
       "ScaleStudy P=256, 150 refs: cell, FNV-1a 64 of render_result.", actual);
+  expect_golden_digests(kCacheStatsGolden, kCacheStatsHeader, caches, "p256/");
 }
 
 // No other tier-1 test pins a result above P = 256, and the fuzzer draws
@@ -643,6 +709,7 @@ TEST(RoundRobinGolden, ScaleStudyP1024DigestsPinnedAcrossCommits) {
   constexpr std::uint32_t kProcs = 1024;
   const workload::BenchmarkProfile profile = testutil::scale_study(kProcs, 150);
   CellDigests actual;
+  CellDigests caches;
   for (const sync::SchemeKind scheme :
        {sync::SchemeKind::kTtas, sync::SchemeKind::kQueuing}) {
     const std::string label = std::string("round-robin/") +
@@ -654,6 +721,8 @@ TEST(RoundRobinGolden, ScaleStudyP1024DigestsPinnedAcrossCommits) {
     trace::ProgramTrace program = workload::make_program_trace(profile);
     core::Simulator sim(cfg, program);
     actual.emplace_back(label, render_digest(fuzz::render_result(sim.run())));
+    caches.emplace_back("p1024/" + label,
+                        render_digest(render_cache_stats(sim)));
     const core::InvariantChecker& checker = *sim.invariant_checker();
     EXPECT_GT(checker.checks(), 0u) << label;
     EXPECT_TRUE(checker.ok())
@@ -676,6 +745,8 @@ TEST(RoundRobinGolden, ScaleStudyP1024DigestsPinnedAcrossCommits) {
       "ScaleStudy P=1024, 150 refs, round-robin, checked: cell, FNV-1a 64 of "
       "render_result.",
       actual);
+  expect_golden_digests(kCacheStatsGolden, kCacheStatsHeader, caches,
+                        "p1024/");
 }
 
 // ---------------------------------------------------------------------------

@@ -133,5 +133,41 @@ TEST(SimCoherence, ThreeWaySharingSettlesShared) {
   }
 }
 
+// Every snoop visit books exactly one supply or received invalidation, and a
+// read answered from the holder directory credits each other holder its
+// supply: the identity holds whenever the counts can be read, not only after
+// run().  Processor 0 reads the line first (Exclusive), processor 1's read
+// probes it, and the reads of processors 2 and 3, with two and three other
+// holders, are answered from the directory.
+TEST(SimCoherence, SuppliesAreExactAfterEveryStep) {
+  Harness h({
+      {load(shared_line(0), 1)},
+      {load(shared_line(0), 25)},
+      {load(shared_line(0), 50)},
+      {load(shared_line(0), 75)},
+  });
+  const Simulator& sim = *h.sim;
+  while (!sim.all_done()) {
+    h.sim->step();
+    std::uint64_t visits = 0;
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      const cache::CacheStats& cs = sim.cache_of(p).stats();
+      visits += cs.supplies + cs.invalidations_received;
+    }
+    ASSERT_EQ(visits, sim.snoop_stats().probes +
+                          sim.snoop_stats().directory_credits)
+        << "cycle " << sim.now();
+  }
+  EXPECT_EQ(sim.snoop_stats().probes, 1u);
+  EXPECT_EQ(sim.snoop_stats().directory_credits, 5u);
+  EXPECT_EQ(sim.snoop_stats().writeback_fallbacks, 0u);
+  const std::uint64_t supplies[] = {3, 2, 1, 0};
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    EXPECT_EQ(sim.cache_of(p).stats().supplies, supplies[p]) << "proc " << p;
+    EXPECT_EQ(sim.cache_of(p).state(shared_line(0)), LineState::kShared)
+        << "proc " << p;
+  }
+}
+
 }  // namespace
 }  // namespace syncpat::core
