@@ -7,13 +7,21 @@
 
 namespace syncpat::cache {
 
+namespace {
+
+/// No processor has this id: list_holders() skips nobody.
+constexpr std::uint32_t kNoProc = 0xffffffff;
+
+}  // namespace
+
 HolderDirectory::HolderDirectory(std::uint32_t num_procs)
-    : words_(util::bit_words(num_procs)) {
+    : words_(util::bit_words(num_procs)), owed_(num_procs, 0) {
   SYNCPAT_ASSERT(num_procs <= 0xffff);
 }
 
 void HolderDirectory::add_holder(std::uint32_t line_addr, std::uint32_t proc) {
   Slot& s = lines_.find_or_insert(line_addr);
+  owed_[proc] -= s.answered;
   if (s.holders == 0) {
     s.ref = proc;
   } else if (s.holders == 1) {
@@ -42,6 +50,7 @@ void HolderDirectory::remove_holder(std::uint32_t line_addr,
   SYNCPAT_ASSERT_MSG(found != nullptr && found->holders > 0,
                      "removing a holder of an untracked line");
   Slot& s = *found;
+  owed_[proc] += s.answered;
   if (s.holders == 1) {
     SYNCPAT_ASSERT_MSG(s.ref == proc, "removing a non-holder");
   } else {
@@ -80,30 +89,57 @@ void HolderDirectory::remove_writeback(std::uint32_t line_addr) {
 std::uint32_t HolderDirectory::holders(std::uint32_t line_addr,
                                        std::uint32_t* out) const {
   const Slot* s = lines_.find(line_addr);
-  return s == nullptr ? 0 : list_holders(*s, out);
+  return s == nullptr ? 0 : list_holders(*s, kNoProc, out);
 }
 
 HolderDirectory::SnoopTargets HolderDirectory::snoop_targets(
-    std::uint32_t line_addr, std::uint32_t* out) const {
-  const Slot* s = lines_.find(line_addr);
+    std::uint32_t line_addr, std::uint32_t requester, bool exclusive,
+    std::uint32_t* out) {
+  SYNCPAT_ASSERT(requester < owed_.size());
+  Slot* s = lines_.find(line_addr);
   if (s == nullptr) return {};
-  if (s->writebacks > 0) return {s->writebacks, 0};
-  return {0, list_holders(*s, out)};
+  if (s->writebacks > 0) return {.writebacks = s->writebacks};
+  if (!exclusive && s->holders >= 2) {
+    const bool holds = util::test_bit(mask(s->ref), requester);
+    const std::uint32_t others = s->holders - (holds ? 1u : 0u);
+    if (others >= 2) {
+      ++s->answered;
+      if (holds) --owed_[requester];  // a cache does not supply itself
+      return {.answered = others};
+    }
+  }
+  return {.holders = list_holders(*s, requester, out)};
 }
 
-std::uint32_t HolderDirectory::list_holders(const Slot& s,
+std::uint32_t HolderDirectory::list_holders(const Slot& s, std::uint32_t skip,
                                             std::uint32_t* out) const {
   if (s.holders == 0) return 0;
   if (s.holders == 1) {
     out[0] = s.ref;
-    return 1;
+    return s.ref == skip ? 0 : 1;
   }
   std::uint32_t n = 0;
   util::visit_set_bits(mask(s.ref), 0, words_ * 64, [&](std::uint32_t p) {
-    out[n++] = p;
+    out[n] = p;
+    n += p == skip ? 0 : 1;
     return false;
   });
   return n;
+}
+
+void HolderDirectory::fold_answered() {
+  lines_.for_each([&](Slot& s) {
+    if (s.answered == 0) return;
+    if (s.holders == 1) {
+      owed_[s.ref] += s.answered;
+    } else if (s.holders > 1) {
+      util::visit_set_bits(mask(s.ref), 0, words_ * 64, [&](std::uint32_t p) {
+        owed_[p] += s.answered;
+        return false;
+      });
+    }
+    s.answered = 0;
+  });
 }
 
 }  // namespace syncpat::cache

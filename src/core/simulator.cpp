@@ -114,12 +114,13 @@ SimulationResult Simulator::run() {
   if (cfg_.engine == EngineKind::kDes) {
     run_des();
   } else {
-    while (!all_done()) step();
+    while (!all_done()) step_cycle();
   }
   if (self_prof_ != nullptr) {
     self_prof_->charge(obs::SelfProfiler::Phase::kEventLoop,
                        obs::SelfProfiler::now_ns() - loop_t0);
   }
+  settle_supplies();
   if (checker_) checker_->on_run_end(*this);
   if (recorder_) recorder_->flush();
   if (metrics_) finalize_metrics();
@@ -196,6 +197,17 @@ void Simulator::pre_proc_phases() {
 }
 
 void Simulator::step() {
+  step_cycle();
+  settle_supplies();
+}
+
+void Simulator::settle_supplies() {
+  holders_.settle_supplies([&](std::uint32_t proc, std::uint64_t n) {
+    caches_[proc]->book_supplies(n);
+  });
+}
+
+void Simulator::step_cycle() {
   ++cycle_;
 
   // 1-2b. Deferred fills, memory, backoff timers.
@@ -673,8 +685,9 @@ void Simulator::snoop_others(Transaction* txn) {
   const auto nprocs = static_cast<std::uint32_t>(procs_.size());
   // The snapshot of the holders is taken first: invalidating a holder
   // updates holders_.
-  const cache::HolderDirectory::SnoopTargets targets =
-      holders_.snoop_targets(txn->line_addr, snoop_holders_.data());
+  const cache::HolderDirectory::SnoopTargets targets = holders_.snoop_targets(
+      txn->line_addr, static_cast<std::uint32_t>(txn->requester), exclusive,
+      snoop_holders_.data());
   if (targets.writebacks > 0) {
     // A buffered write-back's owner may no longer hold the line: visit
     // everyone, cache then buffer, as the bus does.
@@ -687,26 +700,20 @@ void Simulator::snoop_others(Transaction* txn) {
     }
     return;
   }
+  if (targets.answered > 0) {
+    // Two or more other valid copies are all Shared (an Exclusive or
+    // Modified copy is the only valid one), and a read snoop leaves a Shared
+    // line Shared: no transition, no invalidation, one supply from each,
+    // which the directory books at the next settle_supplies().
+    txn->supplied_by_cache = true;
+    snoop_stats_.directory_credits += targets.answered;
+    return;
+  }
   // No buffer holds a write-back of the line and every other cache's snoop
   // is a miss with no effect, so visiting only the holders' caches, in the
   // same ascending order, changes nothing observable.
-  std::uint32_t* const first = snoop_holders_.data();
-  std::uint32_t* const last =
-      std::remove(first, first + targets.holders,
-                  static_cast<std::uint32_t>(txn->requester));
-  if (!exclusive && last - first >= 2) {
-    // Two or more other valid copies are all Shared (an Exclusive or
-    // Modified copy is the only valid one), and a read snoop leaves a Shared
-    // line Shared: no transition, no invalidation, one supply from each.
-    txn->supplied_by_cache = true;
-    for (const std::uint32_t* q = first; q != last; ++q) {
-      caches_[*q]->count_shared_supply();
-    }
-    snoop_stats_.directory_credits += static_cast<std::uint64_t>(last - first);
-    return;
-  }
-  for (const std::uint32_t* q = first; q != last; ++q) {
-    snoop_cache(txn, *q, exclusive);
+  for (std::uint32_t i = 0; i < targets.holders; ++i) {
+    snoop_cache(txn, snoop_holders_[i], exclusive);
   }
 }
 

@@ -53,11 +53,13 @@ struct DesStats {
 /// Host work of snoop_others() (diagnostic, like DesStats).  A snoop visits
 /// only the line's holders, unless a write-back of the line waits in a
 /// cache-bus buffer; then it falls back to visiting every other processor.
-/// A read with two or more other holders is answered from the directory:
-/// each of those holders is credited its supply without a Cache::snoop call.
+/// A read with two or more other holders is answered from the directory in
+/// O(1), without a Cache::snoop call: each of those holders is owed its
+/// supply, which reaches CacheStats::supplies at the end of run() and of
+/// every step().
 struct SnoopStats {
   std::uint64_t probes = 0;               // Cache::snoop calls
-  std::uint64_t directory_credits = 0;    // holders credited without a call
+  std::uint64_t directory_credits = 0;    // supplies owed without a call
   std::uint64_t writeback_fallbacks = 0;  // snoops that visited everyone
 };
 
@@ -90,6 +92,7 @@ class Simulator final : public sync::SchemeServices {
 
   /// Single-step interface for tests.  Always advances exactly one cycle on
   /// the per-cycle tick machinery; the DES core only engages inside run().
+  /// Like run(), it leaves every cache's statistics complete.
   void step();
   [[nodiscard]] bool all_done() const;
   [[nodiscard]] SimulationResult collect_results() const;
@@ -199,6 +202,11 @@ class Simulator final : public sync::SchemeServices {
   void set_scheme_for_test(std::unique_ptr<sync::LockScheme> scheme);
 
  private:
+  /// One cycle of step(), which the tick engine's loop runs.
+  void step_cycle();
+  /// Books into CacheStats::supplies the supplies owed for the reads the
+  /// holder directory answered since the last call.
+  void settle_supplies();
   void arbitrate();
   /// ServiceDiscipline::GrantFn: routes an offered port to grant_response()
   /// (the memory port) or try_grant().
@@ -295,7 +303,7 @@ class Simulator final : public sync::SchemeServices {
   std::vector<std::uint64_t> memory_free_;
   /// Every line's valid holders and buffered write-backs, kept by the caches'
   /// transition hooks and the interfaces' queue hooks; snoop_others() visits
-  /// only the holders.
+  /// only the holders, or answers a widely shared read without a visit.
   cache::HolderDirectory holders_;
   std::vector<std::uint32_t> snoop_holders_;  // snoop_others() scratch
   SnoopStats snoop_stats_;

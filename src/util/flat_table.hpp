@@ -78,7 +78,14 @@ class FlatTable {
     slots_[hole] = Slot{};
   }
 
-  /// Visits every occupied slot in table order.
+  /// Visits every occupied slot in table order.  `fn` may change a slot's
+  /// fields, but not its key or whether it is empty.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (Slot& s : slots_) {
+      if (!s.empty()) fn(s);
+    }
+  }
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& s : slots_) {

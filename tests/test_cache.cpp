@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -173,11 +174,14 @@ TEST(Cache, DifferentSetsDoNotConflict) {
 // The snoop filter's directory against a plain reference under random
 // updates.  P = 130 makes the pooled holder masks three words with a partial
 // last one; holders must come back in ascending order through both the
-// inline one-holder form and the masks, from holders() and, for a line with
-// no buffered write-back, from snoop_targets(); write-back counts are
-// independent of holders; and erasing emptied slots (backward shift) must
-// never lose a line that collided with them.  3000 lines force several
-// table growths.
+// inline one-holder form and the masks, from holders() and, less the
+// requester, from snoop_targets() for a snoop it does not answer; write-back
+// counts are independent of holders; and erasing emptied slots (backward
+// shift) must never lose a line that collided with them.  3000 lines force
+// several table growths.  A read that two or more other holders share is
+// answered, and settle_supplies() must then owe each processor exactly one
+// supply per read answered while it held the line, however holders came and
+// went in between.
 TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
   constexpr std::uint32_t kProcs = 130;
   HolderDirectory dir(kProcs);
@@ -186,29 +190,50 @@ TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
     std::uint32_t writebacks = 0;
   };
   std::map<std::uint32_t, RefLine> ref;
+  std::vector<std::uint64_t> ref_owed(kProcs, 0);
   util::Rng rng(7);
   std::vector<std::uint32_t> out(kProcs);
+  const auto others = [](const RefLine& r, std::uint32_t requester) {
+    std::vector<std::uint32_t> v;
+    for (const std::uint32_t p : r.holders) {
+      if (p != requester) v.push_back(p);
+    }
+    return v;
+  };
   const auto check_line = [&](std::uint32_t line, const RefLine& r) {
     const std::vector<std::uint32_t> want(r.holders.begin(), r.holders.end());
     const std::uint32_t n = dir.holders(line, out.data());
     ASSERT_EQ(std::vector<std::uint32_t>(out.begin(), out.begin() + n), want)
         << "line 0x" << std::hex << line;
+    const auto requester = static_cast<std::uint32_t>(rng.below(kProcs));
     const HolderDirectory::SnoopTargets targets =
-        dir.snoop_targets(line, out.data());
+        dir.snoop_targets(line, requester, /*exclusive=*/true, out.data());
     ASSERT_EQ(targets.writebacks, r.writebacks);
+    ASSERT_EQ(targets.answered, 0u);
     if (r.writebacks == 0) {
       ASSERT_EQ(std::vector<std::uint32_t>(out.begin(),
                                            out.begin() + targets.holders),
-                want)
+                others(r, requester))
           << "line 0x" << std::hex << line;
     } else {
       ASSERT_EQ(targets.holders, 0u);
     }
   };
+  const auto check_settled = [&] {
+    std::vector<std::uint64_t> owed(kProcs, 0);
+    std::uint32_t last = 0;
+    dir.settle_supplies([&](std::uint32_t p, std::uint64_t n) {
+      EXPECT_TRUE(p >= last) << "credits out of id order";
+      last = p;
+      owed[p] = n;
+    });
+    ASSERT_EQ(owed, ref_owed);
+    std::fill(ref_owed.begin(), ref_owed.end(), 0);
+  };
   for (int op = 0; op < 200'000; ++op) {
     const auto line = static_cast<std::uint32_t>(rng.below(3000)) * 16;
     RefLine& r = ref[line];
-    switch (rng.below(4)) {
+    switch (rng.below(5)) {
       case 0:
       case 1: {
         const auto p = static_cast<std::uint32_t>(rng.below(kProcs));
@@ -224,6 +249,26 @@ TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
         ++r.writebacks;
         dir.add_writeback(line);
         break;
+      case 3: {
+        const auto requester = static_cast<std::uint32_t>(rng.below(kProcs));
+        const HolderDirectory::SnoopTargets targets =
+            dir.snoop_targets(line, requester, /*exclusive=*/false, out.data());
+        const std::vector<std::uint32_t> want = others(r, requester);
+        ASSERT_EQ(targets.writebacks, r.writebacks);
+        if (r.writebacks > 0) {
+          ASSERT_EQ(targets.answered + targets.holders, 0u);
+        } else if (want.size() >= 2) {
+          ASSERT_EQ(targets.answered, want.size());
+          ASSERT_EQ(targets.holders, 0u);
+          for (const std::uint32_t p : want) ++ref_owed[p];
+        } else {
+          ASSERT_EQ(targets.answered, 0u);
+          ASSERT_EQ(std::vector<std::uint32_t>(out.begin(),
+                                               out.begin() + targets.holders),
+                    want);
+        }
+        break;
+      }
       default:
         if (r.writebacks > 0) {
           --r.writebacks;
@@ -232,12 +277,14 @@ TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
         break;
     }
     if (op % 1000 == 0) check_line(line, r);
+    if (op % 20'000 == 0) check_settled();
   }
   std::size_t live = 0;
   for (const auto& [line, r] : ref) {
     check_line(line, r);
     if (!r.holders.empty() || r.writebacks > 0) ++live;
   }
+  check_settled();
   std::size_t tracked = 0;
   dir.for_each_line([&](std::uint32_t line, std::uint32_t holders,
                         std::uint32_t writebacks) {
@@ -247,6 +294,10 @@ TEST(HolderDirectory, MatchesReferenceUnderRandomUpdates) {
     EXPECT_EQ(writebacks, r.writebacks);
   });
   EXPECT_EQ(tracked, live) << "emptied lines must leave the table";
+  // Settling twice owes nothing the second time.
+  dir.settle_supplies([](std::uint32_t p, std::uint64_t n) {
+    ADD_FAILURE() << "proc " << p << " owed " << n << " after a settle";
+  });
 }
 
 }  // namespace

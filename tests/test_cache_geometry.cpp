@@ -448,7 +448,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{128 * 1024, 16, 2},
                       // Fewer sets than one storage block.
                       Geometry{128, 16, 2},
-                      Geometry{1024, 64, 4}),
+                      Geometry{1024, 64, 4},
+                      // One set of 64 ways: recency ranks far past 8 ways.
+                      Geometry{1024, 16, 64}),
     [](const ::testing::TestParamInfo<Geometry>& info) {
       const std::uint32_t size = std::get<0>(info.param);
       return (size < 1024 ? std::to_string(size) + "b"
