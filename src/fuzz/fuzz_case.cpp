@@ -3,10 +3,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include "cache/cache.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 
@@ -349,7 +351,12 @@ FuzzCase FuzzCase::from_text(const std::string& text) {
   if (c.bus_bytes == 0 || (c.bus_bytes & (c.bus_bytes - 1)) != 0) {
     throw std::invalid_argument("repro bus_bytes must be a power of two");
   }
-  if (c.associativity == 0 || c.sets_log2 > 20) {
+  // The cache's size must fit its 32-bit field, and each set's recency ranks
+  // a byte (line_bytes <= 64 keeps the product within 64 bits).
+  if (c.associativity == 0 ||
+      c.associativity > cache::Cache::kMaxAssociativity || c.sets_log2 > 20 ||
+      (std::uint64_t{c.line_bytes} * c.associativity << c.sets_log2) >
+          std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("repro cache geometry out of range");
   }
   if (c.num_locks == 0 || c.nested_pairs > c.lock_pairs) {

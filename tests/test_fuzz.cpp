@@ -115,6 +115,24 @@ TEST(FuzzCaseText, RejectsMalformedRepros) {
   // Missing field: drop the last line.
   const std::string truncated = good.substr(0, good.rfind("barriers"));
   EXPECT_THROW((void)FuzzCase::from_text(truncated), std::invalid_argument);
+  // Cache geometries no cache can be built with: 64 B x 64 ways x 2^20 sets
+  // is 4 GiB, past the 32-bit size, and a set's recency ranks hold at most
+  // 256 ways.
+  const auto with = [](std::string text, const std::string& key,
+                       const std::string& value) {
+    const std::size_t at = text.find("\n" + key + " ") + 1;
+    return text.replace(at, text.find('\n', at) - at, key + " " + value);
+  };
+  EXPECT_THROW((void)FuzzCase::from_text(
+                   with(with(with(good, "line_bytes", "64"), "associativity",
+                             "64"),
+                        "sets_log2", "20")),
+               std::invalid_argument);
+  EXPECT_THROW((void)FuzzCase::from_text(with(good, "associativity", "512")),
+               std::invalid_argument);
+  EXPECT_EQ(FuzzCase::from_text(with(good, "associativity", "256"))
+                .associativity,
+            256u);
 }
 
 TEST(FuzzShrink, ReducesInjectedFailureToMinimalShape) {
