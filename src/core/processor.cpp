@@ -30,7 +30,7 @@ Processor::Processor(std::uint32_t id, trace::TraceSource& source,
 bool Processor::drain_pending() {
   while (!pending_.empty()) {
     if (!iface_.enqueue(pending_.front())) return false;
-    pending_.pop_front();
+    pending_.erase(pending_.begin());
   }
   return true;
 }

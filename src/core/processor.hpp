@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "bus/interface.hpp"
 #include "bus/transaction.hpp"
@@ -217,7 +217,12 @@ class Processor {
   std::uint32_t gap_left_ = 0;
 
   bool resuming_sync_ = false;  // re-issuing a lock event after its fence
-  std::deque<bus::Transaction*> pending_;
+  // Transactions waiting for room in the cache-bus buffer, oldest first.
+  // Only a few at a time (issue_loop() stalls until they drain), so a
+  // vector popped at the front, which allocates nothing until its first
+  // push: a std::deque allocates 576 bytes on construction, for each
+  // processor of a P = 1024 machine before it has issued anything.
+  std::vector<bus::Transaction*> pending_;
   bus::Transaction* wait_txn_ = nullptr;
   WaitMode wait_mode_ = WaitMode::kRefSatisfied;
   bus::StallCause wait_cause_ = bus::StallCause::kCacheMiss;
